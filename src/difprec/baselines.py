@@ -1,14 +1,13 @@
 """Reference precoders: zero-forcing, regularized zero-forcing, and ZF-DP.
 
-ZF water-fills per-user powers over the inverse-Gram diagonal; RZF uses a
+ZF water-fills per-user powers over the inverse-Gram diagonal (the water
+level is closed form: sorted floors, largest feasible active set); RZF uses a
 uniform diagonal with the usual (K/snr I + H H^H)^-1 regularizer; ZF-DP is
 the successive-encoding bound obtained from an LQ triangularization of the
 channel with water-filling over the diagonal gains.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -18,22 +17,17 @@ from .gaussint import IntegerCoeffMatrix
 from .rates import ChannelMatrix, DiagonalScale, RateReport, if_sum_rate
 
 
-def _waterfill(inv_gains: np.ndarray, budget: float, tol: float = 1e-12) -> np.ndarray:
-    """p_i = max(0, mu - inv_gains_i) with sum(p) = budget, by bisection on mu."""
-    lo = 0.0
-    hi = budget + float(np.max(inv_gains))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if np.maximum(mid - inv_gains, 0.0).sum() > budget:
-            hi = mid
-        else:
-            lo = mid
-    mu = 0.5 * (lo + hi)
-    p = np.maximum(mu - inv_gains, 0.0)
-    # land exactly on the budget
-    active = p > 0
-    p[active] += (budget - p.sum()) / active.sum()
-    return p
+def _waterfill(inv_gains: np.ndarray, budget: float) -> np.ndarray:
+    """p_i = max(0, mu - inv_gains_i) with sum(p) = budget, in closed form.
+
+    With the floors sorted, filling only the n smallest gives the level
+    mu_n = (budget + their sum) / n; the active set is the largest n whose
+    level lies above its own largest floor.
+    """
+    floors = np.sort(inv_gains)
+    levels = (budget + np.cumsum(floors)) / np.arange(1, len(floors) + 1)
+    mu = levels[np.flatnonzero(levels > floors)[-1]]
+    return np.maximum(mu - inv_gains, 0.0)
 
 
 def design_zf(h: ChannelMatrix) -> PrecoderDesign:

@@ -84,6 +84,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
         file_values = load_config_file(args.config) if args.config else {}
 
         def pick(name: str, cast, default):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,40 +213,23 @@ def design_dif_2user(
     h: ChannelMatrix, regularized: bool = False, real_constraint: bool = False
 ) -> PrecoderDesign:
     """Closed-form two-user design: rho -> table lookup for A -> diagonal -> T."""
-    rho = rho_of_channel(h, regularized)
-    a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
+    rho = rho_of_channel(h)
+    rho_design = rho_of_channel(h, True) if regularized else rho
+    a = optimal_a_2user_real(rho_design) if real_constraint else optimal_a_2user(rho_design)
     d0 = optimal_d0_2user(h, a, regularized)
     scheme = ("rdif" if regularized else "dif") + ("_real" if real_constraint else "")
-    design = build_precoder(h, a, d0, regularized, scheme=scheme)
-    return PrecoderDesign(
-        a=design.a,
-        d0=design.d0,
-        c=design.c,
-        t=design.t,
-        rates=design.rates,
-        regularized=design.regularized,
-        rho=rho_of_channel(h),
-    )
+    return replace(build_precoder(h, a, d0, regularized, scheme=scheme), rho=rho)
 
 
 def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
     """High-SNR shortfall (bits) of the two-user design below sum capacity:
 
-    2 log2( f(rho) / sqrt(1 - rho^2) ), with f restricted to square N when
-    only real integer coefficients are allowed.
+    2 log2( f(A, rho) / sqrt(1 - rho^2) ), with A the optimal coefficient
+    matrix, restricted to square N when only real integer coefficients are
+    allowed.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    if real_constraint:
-        u = rho / math.sqrt(1.0 - rho * rho)
-        f = min(
-            math.sqrt(k * k + 1.0) - rho * k
-            for k in sorted({math.floor(u), math.ceil(u)})
-        )
-    else:
-        n = optimal_n(rho)
-        f = math.sqrt(n + 1.0) - rho * math.sqrt(n)
-    return 2.0 * math.log2(f / math.sqrt(1.0 - rho * rho))
+    a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
+    return 2.0 * math.log2(f_of_a(a, rho) / math.sqrt(1.0 - rho * rho))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float):
@@ -377,13 +360,4 @@ def design_dif_generalk(
     design = build_precoder(h, a, d0, regularized, scheme=scheme)
     if analytic is not None and analytic.rates.sum_rate > design.rates.sum_rate:
         design = analytic
-    rho = rho_of_channel(h) if k == 2 else math.nan
-    return PrecoderDesign(
-        a=design.a,
-        d0=design.d0,
-        c=design.c,
-        t=design.t,
-        rates=design.rates,
-        regularized=design.regularized,
-        rho=rho,
-    )
+    return replace(design, rho=rho_of_channel(h) if k == 2 else math.nan)

@@ -51,19 +51,6 @@ class GaussInt(NamedTuple):
         return complex(self.re, self.im)
 
 
-def gi_add(x: GaussInt, y: GaussInt) -> GaussInt:
-    return x + y
-
-def gi_mul(x: GaussInt, y: GaussInt) -> GaussInt:
-    return x * y
-
-def gi_conj(x: GaussInt) -> GaussInt:
-    return x.conj()
-
-def gi_norm_sq(x: GaussInt) -> int:
-    return x.norm_sq()
-
-
 @lru_cache(maxsize=65536)
 def in_norm_set(n: int) -> bool:
     """True iff n = a^2 + b^2 for some integers a, b (n >= 0)."""
@@ -94,16 +81,19 @@ def ceil_norm_set(x: float) -> int:
         raise ValueError("ceil_norm_set requires x >= 0")
     n = math.ceil(x)
     if n > _EXACT_NORM_SET_LIMIT:
-        return _nearby_member(n)
+        return _nearby_member(n, round_up=True)
     while not in_norm_set(n):
         n += 1
     return n
 
 
-def _nearby_member(n: int) -> int:
+def _nearby_member(n: int, round_up: bool = False) -> int:
     # a^2 + b^2 with a = isqrt(n): within O(sqrt(n)) of n, always representable.
+    # b = isqrt(n - a^2) lands at or below n; one more lands above it.
     a = math.isqrt(n)
     b = math.isqrt(n - a * a)
+    if round_up and a * a + b * b < n:
+        b += 1
     return a * a + b * b
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .baselines import design_rzf, design_zf, design_zfdp
 from .designer import asymptotic_gap, design_dif_2user, design_dif_generalk, rho_of_channel
+from .linalg import SingularMatrixError
 from .rates import ChannelMatrix, dpc_sum_capacity
 
 ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
@@ -46,6 +47,10 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if len(self.snr_db) == 0:
             raise ValueError("snr list must be nonempty")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.restarts < 0:
+            raise ValueError("restarts must be nonnegative")
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -116,7 +121,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
             try:
                 sum_rate = _scheme_sum_rate(scheme, ch, cfg, trial, csum)
                 gap = csum - sum_rate
-            except _Infeasible as exc:
+            except (_Infeasible, SingularMatrixError) as exc:
                 print(f"warning: {scheme} infeasible for K={cfg.k}: {exc}", file=sys.stderr)
                 sum_rate = math.nan
                 gap = math.nan
@@ -147,10 +152,13 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
             )
     records = [rec for batch in per_trial for rec in batch]
     records.sort(key=lambda r: (r.scheme, r.snr_db, r.trial))
+    groups: dict[tuple[str, float], list[TrialRecord]] = {}
+    for r in records:
+        groups.setdefault((r.scheme, r.snr_db), []).append(r)
     aggregate = []
     for scheme in sorted(cfg.schemes):
         for snr_db in cfg.snr_db:
-            rows = [r for r in records if r.scheme == scheme and r.snr_db == snr_db]
+            rows = groups[(scheme, snr_db)]
             sums = np.array([r.sum_rate_bits for r in rows])
             gaps = np.array([r.gap_bits for r in rows])
             stderr = float(gaps.std(ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0

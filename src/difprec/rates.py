@@ -3,7 +3,8 @@
 Rates are in bits per complex channel use (base-2 logs); SNR is the linear
 total-power to unit-noise ratio.  The central quantity is the computation
 rate of a (effective channel, integer coefficient vector) pair; everything
-else is assembled from it or from the broadcast sum-capacity program.
+else is assembled from it or from the broadcast sum-capacity program, which
+is closed form up to two users and solved by projected gradient beyond.
 """
 
 from __future__ import annotations
@@ -169,39 +170,6 @@ def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = 
     return RateReport(scheme, np.array(rates))
 
 
-def _dpc_objective_2x2(g: np.ndarray, snr: float):
-    g11 = g[0, 0].real
-    g22 = g[1, 1].real
-    cross = abs(g[0, 1]) ** 2
-
-    def f(q1: float) -> float:
-        q2 = 1.0 - q1
-        d = (1.0 + snr * q1 * g11) * (1.0 + snr * q2 * g22) - snr * snr * q1 * q2 * cross
-        return math.log2(d)
-
-    return f
-
-
-def _golden_max(f, lo: float, hi: float, tol: float):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _project_capped_simplex(q: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {q >= 0, sum(q) <= 1}."""
     q = np.maximum(q, 0.0)
@@ -222,17 +190,26 @@ def dpc_sum_capacity(h: ChannelMatrix) -> float:
     """Broadcast sum capacity: sup over diagonal Q, trace <= 1, of
     log2 det(I + snr H^H Q H).
 
-    K = 1 is closed form; K = 2 uses golden-section over the power split
-    (the trace constraint is active); larger K uses projected gradient
-    ascent on the capped simplex with step halving.
+    K = 1 and K = 2 are closed form.  For K = 2 the trace constraint is
+    active and det(I + snr diag(q, 1 - q) G) is a concave quadratic in the
+    power split q, maximized at its vertex 1/2 + (G11 - G22)/(2 snr det G)
+    clamped to [0, 1]; when det G rounds to zero or below the quadratic term
+    is gone and the stronger user's endpoint wins.  Larger K uses projected
+    gradient ascent on the capped simplex with step halving.
     """
     g = linalg.gram(h.h)
     snr = h.snr
     if h.k == 1:
         return math.log2(1.0 + snr * g[0, 0].real)
     if h.k == 2:
-        _, val = _golden_max(_dpc_objective_2x2(g, snr), 0.0, 1.0, 1e-12)
-        return val
+        g11, g22, cross = g[0, 0].real, g[1, 1].real, abs(g[0, 1]) ** 2
+        det_g = g11 * g22 - cross
+        q = 0.5 + (g11 - g22) / (2.0 * snr * det_g) if det_g > 0 else float(g11 >= g22)
+        q = min(max(q, 0.0), 1.0)
+        return math.log2(
+            (1.0 + snr * q * g11) * (1.0 + snr * (1.0 - q) * g22)
+            - snr * snr * q * (1.0 - q) * cross
+        )
     k = h.k
     eye = np.eye(k)
 

@@ -48,6 +48,17 @@ def test_zf_waterfilling_drops_weak_user_at_low_snr():
     assert abs(frob_norm_sq(design.t) - 1.0) <= 1e-9
 
 
+def test_zf_waterfilling_at_a_high_water_level():
+    """Rows 0.01 apart at SNR 0.1 put the water level near 1e5: all power goes
+    to the second user, whose floor is the lower one."""
+    rows = np.array([[1.0, 0.0], [1.0, 0.01]], dtype=complex)
+    design = design_zf(ChannelMatrix(rows, 0.1))
+    powers = np.sum(np.abs(design.t) ** 2, axis=0)
+    assert np.allclose(powers, [0.0, 1.0], rtol=0.0, atol=1e-9)
+    m22 = np.real(np.linalg.inv(rows @ rows.conj().T))[1, 1]
+    assert np.isclose(design.rates.sum_rate, math.log2(1 + 0.1 / m22), rtol=1e-9, atol=0.0)
+
+
 def test_rzf_equals_zf_on_identity_channel():
     h = ChannelMatrix(np.eye(2, dtype=complex), 4.0)
     assert np.isclose(design_rzf(h).rates.sum_rate, design_zf(h).rates.sum_rate, rtol=1e-12)

@@ -70,7 +70,8 @@ def test_floor_ceil_examples():
 
 def test_floor_ceil_bracket_property():
     rng = np.random.default_rng(1)
-    for x in rng.uniform(0, 500, 200):
+    # 5e8 + 0.5 lies above the exact-scan limit, where a nearby member is used
+    for x in [*rng.uniform(0, 500, 200), 5e8 + 0.5]:
         lo, hi = floor_norm_set(x), ceil_norm_set(x)
         assert lo <= x <= hi
         assert in_norm_set(lo) and in_norm_set(hi)

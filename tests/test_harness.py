@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from difprec import harness
 from difprec.cli import load_config_file, main, parse_snr_spec
 from difprec.harness import (
     AGGREGATE_HEADER,
@@ -52,6 +53,10 @@ def test_config_validation():
         ExperimentConfig(snr_db=())
     with pytest.raises(ValueError):
         ExperimentConfig(schemes=("dif", "qam"))
+    with pytest.raises(ValueError):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(restarts=-1)
 
 
 def test_dpc_only_run_has_zero_gaps():
@@ -86,6 +91,19 @@ def test_infeasible_scheme_reports_nan_and_continues(capsys):
     assert len(real_rows) == 2 and all(math.isnan(r.sum_rate_bits) for r in real_rows)
     dpc_rows = [r for r in records if r.scheme == "dpc"]
     assert len(dpc_rows) == 2 and all(np.isfinite(r.sum_rate_bits) for r in dpc_rows)
+
+
+def test_singular_channel_reports_nan_and_continues(monkeypatch, capsys):
+    """Rows 1e-7 apart make the plain inverse Gram singular to working precision."""
+    rows = np.array([[1.0, 0.5j], [1.0 + 1e-7, 0.5j]])
+    monkeypatch.setattr(harness, "draw_channel", lambda rng, k, m: rows)
+    cfg = ExperimentConfig(snr_db=(10.0, 30.0), trials=2, schemes=("dif", "rdif", "dpc"), seed=1)
+    records, aggregate = run_experiment(cfg)
+    dif_rows = [r for r in records if r.scheme == "dif"]
+    assert len(dif_rows) == 4 and all(math.isnan(r.sum_rate_bits) for r in dif_rows)
+    assert all(np.isfinite(r.sum_rate_bits) for r in records if r.scheme != "dif")
+    assert len(aggregate) == 3 * 2
+    assert "warning: dif" in capsys.readouterr().err
 
 
 def test_csv_headers_and_determinism(tmp_path):
@@ -175,6 +193,9 @@ def test_cli_gap_curve_and_errors(tmp_path):
     assert len(lines) == 65
     assert main(["--k", "3", "--m", "2", "--out", str(tmp_path / "bad")]) == 2
     assert main(["--snr-db", "5:0:10", "--out", str(tmp_path / "bad2")]) == 2
+    assert main(["--seed", "-1", "--out", str(tmp_path / "bad3")]) == 2
+    assert main(["--restarts", "-1", "--out", str(tmp_path / "bad4")]) == 2
+    assert main(["--jobs", "0", "--out", str(tmp_path / "bad5")]) == 2
 
 
 def test_run_trial_matches_run_experiment():
