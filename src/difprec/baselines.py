@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg
 from .designer import PrecoderDesign, build_precoder
 from .gaussint import IntegerCoeffMatrix
 from .rates import ChannelMatrix, DiagonalScale, RateReport, if_sum_rate
@@ -36,12 +35,12 @@ def design_zf(h: ChannelMatrix) -> PrecoderDesign:
     T = H^H (H H^H)^-1 D with |d_i|^2 = max(0, mu/M_ii - 1/snr) and
     sum_i M_ii |d_i|^2 = 1; per-user rates are log2(1 + |d_i|^2 snr).
     """
-    m = linalg.inverse(linalg.gram(h.h))
+    m = h.inv_gram()
     m_diag = np.real(np.diag(m)).copy()
     # substitute p_i = M_ii |d_i|^2: water-fill with floors M_ii/snr, budget 1
     p = _waterfill(m_diag / h.snr, 1.0)
     d = np.sqrt(p / m_diag).astype(np.complex128)
-    t = linalg.hermitian(h.h) @ m @ np.diag(d)
+    t = h.h.conj().T @ m @ np.diag(d)
     a = IntegerCoeffMatrix.identity(h.k)
     rates = if_sum_rate(h, t, a, scheme="zf")
     return PrecoderDesign(
@@ -72,7 +71,7 @@ def design_zfdp(h: ChannelMatrix) -> RateReport:
     H = L Q with L lower triangular and Q row-orthonormal (natural user
     order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr.
     """
-    q, r = np.linalg.qr(linalg.hermitian(h.h), mode="reduced")
+    q, r = np.linalg.qr(h.h.conj().T, mode="reduced")
     gains = np.abs(np.diag(r)) ** 2
     p = _waterfill(1.0 / gains, h.snr)
     per_user = np.log2(1.0 + gains * p)

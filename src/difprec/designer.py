@@ -51,29 +51,18 @@ class PrecoderDesign:
     rho: float = math.nan
 
 
-def _inv_gram(h: ChannelMatrix, regularized: bool) -> np.ndarray:
-    g = linalg.gram(h.h)
-    if regularized:
-        g = g + (h.k / h.snr) * np.eye(h.k)
-    return linalg.inverse(g)
-
-
 def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
     """Normalized correlation between the two channel rows, in [0, 1).
 
-    The regularized variant measures it through M = (K/snr I + H H^H)^-1 as
-    |M_12| / sqrt(M_11 M_22), which tends to the plain value at high SNR.
+    Both variants are |X_12| / sqrt(X_11 X_22): the plain one with X = H H^H,
+    the regularized one with X = M = (K/snr I + H H^H)^-1, which tends to the
+    plain value at high SNR.  The plain variant never inverts, so a singular
+    channel gets rho = RHO_MAX.
     """
     if h.k != 2:
         raise ValueError("rho is defined for two-user channels")
-    if regularized:
-        m = _inv_gram(h, True)
-        rho = abs(m[0, 1]) / math.sqrt(m[0, 0].real * m[1, 1].real)
-    else:
-        h1, h2 = h.h[0], h.h[1]
-        rho = abs(np.vdot(h2, h1)) / math.sqrt(
-            np.vdot(h1, h1).real * np.vdot(h2, h2).real
-        )
+    x = h.inv_gram(True) if regularized else h.gram
+    rho = abs(x[0, 1]) / math.sqrt(x[0, 0].real * x[1, 1].real)
     return min(rho, RHO_MAX)
 
 
@@ -151,7 +140,7 @@ def optimal_d0_2user(
         raise ValueError("closed-form diagonal needs a two-user channel")
     if a.k != 2 or not a.is_full_rank():
         raise ValueError("need a full-rank 2 x 2 coefficient matrix")
-    m = _inv_gram(h, regularized)
+    m = h.inv_gram(regularized)
     a1, a2 = a.row(0), a.row(1)
     n1 = math.sqrt(np.vdot(a1, a1).real)
     n2 = math.sqrt(np.vdot(a2, a2).real)
@@ -177,8 +166,7 @@ def build_precoder(
         raise ValueError("build_precoder expects a unit-|det| diagonal")
     if scheme is None:
         scheme = "rdif" if regularized else "dif"
-    m = _inv_gram(h, regularized)
-    t0 = linalg.hermitian(h.h) @ m @ (d0.d[:, None] * a.to_complex())
+    t0 = h.h.conj().T @ h.inv_gram(regularized) @ (d0.d[:, None] * a.to_complex())
     c = 1.0 / math.sqrt(linalg.frob_norm_sq(t0))
     t = c * t0
     rates = if_sum_rate(h, t, a, scheme=scheme)
@@ -202,7 +190,7 @@ def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> 
     rho = rho_of_channel(h)
     if a is None:
         a = optimal_a_2user(rho)
-    g = linalg.gram(h.h)
+    g = h.gram
     det_g = linalg.det(g).real
     n1 = math.sqrt(g[0, 0].real)
     n2 = math.sqrt(g[1, 1].real)
@@ -270,8 +258,7 @@ def design_dif_generalk(
     if k < 2:
         raise ValueError("search-based design needs at least two users")
     scheme = "rdif" if regularized else "dif"
-    minv = _inv_gram(h, regularized)
-    b = linalg.hermitian(h.h) @ minv
+    b = h.h.conj().T @ h.inv_gram(regularized)
     snr = h.snr
     n_free = 2 * (k - 1)
     m = h.m

@@ -47,6 +47,10 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if len(self.snr_db) == 0:
             raise ValueError("snr list must be nonempty")
+        with np.errstate(over="ignore"):
+            linear = 10.0 ** (np.asarray(self.snr_db, dtype=np.float64) / 10.0)
+        if not np.all((linear > 0.0) & np.isfinite(linear)):
+            raise ValueError("every SNR must be finite and positive on the linear scale")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.restarts < 0:
@@ -114,7 +118,9 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
     records = []
     for snr_db in cfg.snr_db:
         ch = ChannelMatrix(h, 10.0 ** (snr_db / 10.0))
+        start = time.perf_counter()
         csum = dpc_sum_capacity(ch)
+        dpc_ms = (time.perf_counter() - start) * 1e3
         rho = rho_of_channel(ch) if cfg.k == 2 else math.nan
         for scheme in cfg.schemes:
             start = time.perf_counter()
@@ -126,6 +132,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
                 sum_rate = math.nan
                 gap = math.nan
             wall_ms = (time.perf_counter() - start) * 1e3
+            if scheme == "dpc":
+                wall_ms += dpc_ms
             records.append(
                 TrialRecord(scheme, snr_db, trial, rho, sum_rate, gap, wall_ms)
             )

@@ -1,10 +1,10 @@
 """Small dense complex matrix kernel.
 
 All matrices are 2-D complex128 numpy arrays (row-major).  Inverse and
-determinant go through an explicit LU factorization with partial pivoting so
-that the singularity threshold is under our control; 2x2 matrices take the
-closed form, which is required to agree with the LU path to 1e-12.  Sizes here
-never exceed ~8x8, so nothing is blocked or optimized beyond that.
+determinant are numpy's; what this module adds is one singularity rule for
+every size, so that "singular" means the same thing to every caller: a matrix
+is singular when its smallest singular value is at most PIVOT_RTOL times its
+largest.  Such a matrix has no inverse (SingularMatrixError) and determinant 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ PIVOT_RTOL = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """Pivot fell below the relative singularity threshold."""
+    """Smallest singular value fell below the relative singularity threshold."""
 
 
 def cmatrix(entries) -> CMatrix:
@@ -31,107 +31,31 @@ def cmatrix(entries) -> CMatrix:
     return m
 
 
-def hermitian(m: CMatrix) -> CMatrix:
-    return np.conj(m.T)
-
-
-def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def gram(m: CMatrix) -> CMatrix:
     """m times its conjugate transpose."""
     return m @ np.conj(m.T)
-
-
-def trace(m: CMatrix) -> complex:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("trace requires a square matrix")
-    return complex(np.trace(m))
 
 
 def frob_norm_sq(m: CMatrix) -> float:
     return float(np.sum(np.abs(m) ** 2))
 
 
-def _lu_decompose(m: CMatrix):
-    """LU with partial pivoting.  Returns (lu, piv, nswaps, singular)."""
-    n = m.shape[0]
-    lu = np.array(m, dtype=np.complex128)
-    piv = np.arange(n)
-    nswaps = 0
-    scale = np.max(np.abs(lu)) if lu.size else 0.0
-    singular = scale == 0.0
-    for k in range(n):
-        col = np.abs(lu[k:, k])
-        p = k + int(np.argmax(col))
-        if np.abs(lu[p, k]) < PIVOT_RTOL * scale:
-            singular = True
-            continue
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-            nswaps += 1
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv, nswaps, singular
-
-
-def _lu_det(m: CMatrix) -> complex:
-    lu, _, nswaps, singular = _lu_decompose(m)
-    if singular:
-        return 0j
-    d = complex(np.prod(np.diag(lu)))
-    return -d if nswaps % 2 else d
-
-
-def _lu_inverse(m: CMatrix) -> CMatrix:
-    n = m.shape[0]
-    lu, piv, _, singular = _lu_decompose(m)
-    if singular:
-        raise SingularMatrixError("matrix is singular to working precision")
-    inv = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        b = np.zeros(n, dtype=np.complex128)
-        b[piv == j] = 1.0
-        # forward substitution (unit lower), then backward (upper)
-        for i in range(1, n):
-            b[i] -= lu[i, :i] @ b[:i]
-        for i in range(n - 1, -1, -1):
-            b[i] = (b[i] - lu[i, i + 1:] @ b[i + 1:]) / lu[i, i]
-        inv[:, j] = b
-    return inv
+def _is_singular(m: CMatrix) -> bool:
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("det and inverse require a square matrix")
+    s = np.linalg.svd(m, compute_uv=False)
+    return bool(s[-1] <= PIVOT_RTOL * s[0])
 
 
 def det(m: CMatrix) -> complex:
     """Determinant; returns 0 for matrices singular at working precision."""
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("det requires a square matrix")
-    n = m.shape[0]
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return _lu_det(m)
+    if _is_singular(m):
+        return 0j
+    return complex(np.linalg.det(m))
 
 
 def inverse(m: CMatrix) -> CMatrix:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("inverse requires a square matrix")
-    n = m.shape[0]
-    if n == 1:
-        if m[0, 0] == 0:
-            raise SingularMatrixError("matrix is singular to working precision")
-        return np.array([[1.0 / m[0, 0]]], dtype=np.complex128)
-    if n == 2:
-        d = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        scale = np.max(np.abs(m))
-        if abs(d) < PIVOT_RTOL * scale * scale or d == 0:
-            raise SingularMatrixError("matrix is singular to working precision")
-        return np.array(
-            [[m[1, 1] / d, -m[0, 1] / d], [-m[1, 0] / d, m[0, 0] / d]],
-            dtype=np.complex128,
-        )
-    return _lu_inverse(m)
+    """Inverse; raises SingularMatrixError when m is singular at working precision."""
+    if _is_singular(m):
+        raise SingularMatrixError("matrix is singular to working precision")
+    return np.linalg.inv(m).astype(np.complex128, copy=False)

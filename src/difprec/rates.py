@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,26 @@ class ChannelMatrix:
 
     def with_snr(self, snr: float) -> "ChannelMatrix":
         return ChannelMatrix(self.h, snr)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = H H^H, built once per channel; read-only because it is shared."""
+        g = linalg.gram(self.h)
+        g.setflags(write=False)
+        return g
+
+    def inv_gram(self, regularized: bool = False) -> np.ndarray:
+        """M = G^-1, or (K/snr I + G)^-1 when regularized, inverted at most once
+        per flag and shared (read-only) by every precoder built on this channel.
+        Raises linalg.SingularMatrixError when that matrix is singular.
+        """
+        cache = self.__dict__.setdefault("_inverse_grams", {})
+        if regularized not in cache:
+            g = self.gram + (self.k / self.snr) * np.eye(self.k) if regularized else self.gram
+            m = linalg.inverse(g)
+            m.setflags(write=False)
+            cache[regularized] = m
+        return cache[regularized]
 
 
 @dataclass(frozen=True)
@@ -197,7 +218,7 @@ def dpc_sum_capacity(h: ChannelMatrix) -> float:
     is gone and the stronger user's endpoint wins.  Larger K uses projected
     gradient ascent on the capped simplex with step halving.
     """
-    g = linalg.gram(h.h)
+    g = h.gram
     snr = h.snr
     if h.k == 1:
         return math.log2(1.0 + snr * g[0, 0].real)
@@ -245,8 +266,7 @@ def hi_snr_sum_capacity(h: ChannelMatrix) -> float:
 
     May be negative at low SNR; returned unclamped.
     """
-    g = linalg.gram(h.h)
-    d = linalg.det(g).real
+    d = linalg.det(h.gram).real
     return h.k * math.log2(h.snr / h.k) + math.log2(d)
 
 

@@ -22,7 +22,6 @@ from difprec.designer import (
     optimal_a_2user,
     optimal_d0_2user,
     rho_of_channel,
-    _inv_gram,
 )
 from difprec.gaussint import IntegerCoeffMatrix
 from difprec.harness import (
@@ -184,7 +183,7 @@ def test_criterion_03_diagonal_oracle():
                 rho = rho_of_channel(h, regularized)
                 a = optimal_a_2user(rho)
                 d0 = optimal_d0_2user(h, a, regularized)
-                m = _inv_gram(h, regularized)
+                m = h.inv_gram(regularized)
                 a_c = a.to_complex()
                 x_mine = d0.d[:, None] * a_c
                 mine = float(np.real(np.trace(np.conj(x_mine.T) @ m @ x_mine)))

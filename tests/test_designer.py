@@ -206,16 +206,12 @@ def test_optimal_d0_beats_grid():
 
 
 def _t0_of(h, a, d, regularized):
-    from difprec.designer import _inv_gram
-
-    return h.h.conj().T @ _inv_gram(h, regularized) @ (np.asarray(d)[:, None] * a.to_complex())
+    return h.h.conj().T @ h.inv_gram(regularized) @ (np.asarray(d)[:, None] * a.to_complex())
 
 
 def _scaling_objective(h, a, d_grid, regularized):
     """tr(A^H D0^H M D0 A) evaluated directly for a batch of diagonals."""
-    from difprec.designer import _inv_gram
-
-    m = _inv_gram(h, regularized)
+    m = h.inv_gram(regularized)
     a_c = a.to_complex()
     x = d_grid[:, :, None] * a_c[None, :, :]  # G x 2 x 2, rows scaled by d
     return np.real(np.einsum("gij,il,glj->g", np.conj(x), m, x))

@@ -1,12 +1,13 @@
 """Harness: channel statistics, determinism, CSV contracts, CLI round trip."""
 
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from difprec import harness
+from difprec import harness, linalg
 from difprec.cli import load_config_file, main, parse_snr_spec
 from difprec.harness import (
     AGGREGATE_HEADER,
@@ -57,6 +58,10 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(restarts=-1)
+    # dB values whose linear SNR is not finite and positive
+    for snr_db in (math.nan, math.inf, 4000.0, -4000.0):
+        with pytest.raises(ValueError):
+            ExperimentConfig(snr_db=(10.0, snr_db))
 
 
 def test_dpc_only_run_has_zero_gaps():
@@ -104,6 +109,39 @@ def test_singular_channel_reports_nan_and_continues(monkeypatch, capsys):
     assert all(np.isfinite(r.sum_rate_bits) for r in records if r.scheme != "dif")
     assert len(aggregate) == 3 * 2
     assert "warning: dif" in capsys.readouterr().err
+
+
+def test_dpc_rows_are_charged_the_capacity_time(monkeypatch):
+    capacity = harness.dpc_sum_capacity
+
+    def slow_capacity(ch):
+        time.sleep(0.005)
+        return capacity(ch)
+
+    monkeypatch.setattr(harness, "dpc_sum_capacity", slow_capacity)
+    cfg = ExperimentConfig(snr_db=(0.0, 20.0), trials=2, schemes=("zf", "dpc"), seed=5)
+    records, _ = run_experiment(cfg)
+    dpc_rows = [r for r in records if r.scheme == "dpc"]
+    assert len(dpc_rows) == 4 and all(r.wall_ms >= 5.0 for r in dpc_rows)
+
+
+def test_one_snr_point_builds_the_gram_once(monkeypatch):
+    """All seven schemes at one (trial, SNR) share the channel's G and both Ms."""
+    calls = {"gram": 0, "inverse": 0}
+
+    def counted(name):
+        fn = getattr(linalg, name)
+
+        def wrapper(m):
+            calls[name] += 1
+            return fn(m)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name))
+    run_trial(ExperimentConfig(snr_db=(10.0,), trials=1, schemes=harness.ALL_SCHEMES, seed=3), 0)
+    assert calls["gram"] == 1 and calls["inverse"] <= 2
 
 
 def test_csv_headers_and_determinism(tmp_path):
@@ -196,6 +234,8 @@ def test_cli_gap_curve_and_errors(tmp_path):
     assert main(["--seed", "-1", "--out", str(tmp_path / "bad3")]) == 2
     assert main(["--restarts", "-1", "--out", str(tmp_path / "bad4")]) == 2
     assert main(["--jobs", "0", "--out", str(tmp_path / "bad5")]) == 2
+    for i, spec in enumerate(("nan", "inf", "4000", "-4000")):
+        assert main([f"--snr-db={spec}", "--out", str(tmp_path / f"bad_snr{i}")]) == 2
 
 
 def test_run_trial_matches_run_experiment():
