@@ -3,7 +3,9 @@
 The reducer is the complex LLL variant: size reduction rounds Gram-Schmidt
 coefficients to the nearest Gaussian integer (both components within 1/2) and
 the Lovasz test uses ||q_k||^2 >= (delta - |mu_{k,k-1}|^2) ||q_{k-1}||^2.
-The unimodular transform is tracked in exact integer arithmetic.
+The unimodular transform is tracked in exact integer arithmetic.  The
+Gram-Schmidt data is built once per reduction; a swap updates it in O(k)
+instead of rebuilding it.
 
 The coefficient matrix for precoding comes out of shortest_independent_columns:
 the reduced basis columns, sorted by image norm, approximate the K shortest
@@ -85,10 +87,34 @@ def _clll_core(cols, ucols, delta: float) -> None:
         if qnorm[kk] >= (delta - abs(mrow[kk - 1]) ** 2) * qnorm[kk - 1]:
             kk += 1
         else:
-            cols[kk - 1], cols[kk] = cols[kk], cols[kk - 1]
-            ucols[kk - 1], ucols[kk] = ucols[kk], ucols[kk - 1]
-            qnorm, mu = _gso(cols)
+            _swap(cols, ucols, qnorm, mu, kk)
             kk = max(kk - 1, 1)
+
+
+def _swap(cols, ucols, qnorm, mu, kk: int) -> None:
+    """Swap columns kk-1 and kk and update the Gram-Schmidt data in O(k).
+
+    With mu_{i,j} = <q_j, c_i> / ||q_j||^2 and m = mu_{kk,kk-1}, the new
+    q_{kk-1} is q_kk + m q_{kk-1}, of squared norm B = ||q_kk||^2 +
+    |m|^2 ||q_{kk-1}||^2; rows below kk re-express their (kk-1, kk)
+    components in the new pair (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.6.3, with the conjugate where the inner product needs it).
+    """
+    cols[kk - 1], cols[kk] = cols[kk], cols[kk - 1]
+    ucols[kk - 1], ucols[kk] = ucols[kk], ucols[kk - 1]
+    m = mu[kk][kk - 1]
+    q_prev = qnorm[kk - 1]
+    b = qnorm[kk] + (m.real * m.real + m.imag * m.imag) * q_prev
+    m_new = m.conjugate() * q_prev / b
+    qnorm[kk] = q_prev * qnorm[kk] / b
+    qnorm[kk - 1] = b
+    mu[kk - 1], mu[kk] = mu[kk], mu[kk - 1]
+    mu[kk - 1][kk - 1] = 0j
+    mu[kk][kk - 1] = m_new
+    for row in mu[kk + 1:]:
+        a, c = row[kk - 1], row[kk]
+        row[kk] = a - m * c
+        row[kk - 1] = c + m_new * row[kk]
 
 
 def _identity_ucols(k: int):
