@@ -11,68 +11,76 @@ from __future__ import annotations
 
 import numpy as np
 
-from .designer import PrecoderDesign, build_precoder
-from .gaussint import IntegerCoeffMatrix
-from .rates import ChannelMatrix, DiagonalScale, RateReport, if_sum_rate
+from .designer import PrecoderDesign, PrecoderStack, precode
+from .rates import ChannelMatrix, RateReport, _check_rates
 
 
-def _waterfill(inv_gains: np.ndarray, budget: float) -> np.ndarray:
-    """p_i = max(0, mu - inv_gains_i) with sum(p) = budget, in closed form.
+def _waterfill(inv_gains: np.ndarray, budget) -> np.ndarray:
+    """p_i = max(0, mu - inv_gains_i) with sum(p) = budget, in closed form,
+    for each row of a (..., K) stack of floors, budget broadcast against (...).
 
     With the floors sorted, filling only the n smallest gives the level
     mu_n = (budget + their sum) / n; the active set is the largest n whose
     level lies above its own largest floor.
     """
-    floors = np.sort(inv_gains)
-    levels = (budget + np.cumsum(floors)) / np.arange(1, len(floors) + 1)
-    mu = levels[np.flatnonzero(levels > floors)[-1]]
+    floors = np.sort(inv_gains, axis=-1)
+    n = floors.shape[-1]
+    levels = (np.expand_dims(budget, -1) + np.cumsum(floors, axis=-1)) / np.arange(1, n + 1)
+    active = n - 1 - np.argmax((levels > floors)[..., ::-1], axis=-1)
+    mu = np.take_along_axis(levels, active[..., None], axis=-1)
     return np.maximum(mu - inv_gains, 0.0)
 
 
-def design_zf(h: ChannelMatrix) -> PrecoderDesign:
-    """Zero-forcing with water-filled power loading.
+def _identity(k: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.eye(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64)
+
+
+def zf_stack(h: ChannelMatrix) -> PrecoderStack:
+    """Zero-forcing with water-filled power loading at every SNR point of h.
 
     T = H^H (H H^H)^-1 D with |d_i|^2 = max(0, mu/M_ii - 1/snr) and
     sum_i M_ii |d_i|^2 = 1; per-user rates are log2(1 + |d_i|^2 snr).
     """
-    m = h.inv_gram()
-    m_diag = np.real(np.diag(m)).copy()
+    m_diag = np.real(np.diag(h.inv_gram()))
     # substitute p_i = M_ii |d_i|^2: water-fill with floors M_ii/snr, budget 1
-    p = _waterfill(m_diag / h.snr, 1.0)
+    p = _waterfill(m_diag / np.asarray(h.snr)[..., None], 1.0)
     d = np.sqrt(p / m_diag).astype(np.complex128)
-    t = h.h.conj().T @ m @ np.diag(d)
-    a = IntegerCoeffMatrix.identity(h.k)
-    rates = if_sum_rate(h, t, a, scheme="zf")
-    return PrecoderDesign(
-        a=a,
-        d0=DiagonalScale(d, c=1.0, unit_det=False),
-        c=1.0,
-        t=t,
-        rates=rates,
-        regularized=False,
-    )
+    return precode(h, d, *_identity(h.k), regularized=False, normalize=False)
 
 
-def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
-    """Regularized zero-forcing with uniform loading D = c I.
+def design_zf(h: ChannelMatrix) -> PrecoderDesign:
+    """Zero-forcing with water-filled power loading (see zf_stack)."""
+    return zf_stack(h).design(h, "zf", regularized=False, unit_det=False)
+
+
+def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
+    """Regularized zero-forcing with uniform loading D = c I at every SNR
+    point of h.
 
     Identical to the regularized integer-forcing construction restricted to
     A = I and D0 = I; per-user rates treat residual interference as noise.
     """
-    a = IntegerCoeffMatrix.identity(h.k)
-    d0 = DiagonalScale(np.ones(h.k, dtype=np.complex128), c=1.0, unit_det=True)
-    design = build_precoder(h, a, d0, regularized=True, scheme="rzf")
-    return design
+    return precode(h, np.ones(h.k, dtype=np.complex128), *_identity(h.k), regularized=True)
 
 
-def design_zfdp(h: ChannelMatrix) -> RateReport:
-    """Zero-forcing dirty-paper bound via LQ triangularization.
+def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
+    """Regularized zero-forcing with uniform loading (see rzf_stack)."""
+    return rzf_stack(h).design(h, "rzf", regularized=True)
+
+
+def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
+    """Zero-forcing dirty-paper per-user rates (..., K) at every SNR point of h.
 
     H = L Q with L lower triangular and Q row-orthonormal (natural user
     order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr.
     """
-    q, r = np.linalg.qr(h.h.conj().T, mode="reduced")
+    _, r = np.linalg.qr(h.h.conj().T, mode="reduced")
     gains = np.abs(np.diag(r)) ** 2
-    p = _waterfill(1.0 / gains, h.snr)
-    per_user = np.log2(1.0 + gains * p)
-    return RateReport("zfdp", per_user)
+    rates = np.log2(1.0 + gains * _waterfill(1.0 / gains, h.snr))
+    _check_rates(rates)
+    return rates
+
+
+def design_zfdp(h: ChannelMatrix) -> RateReport:
+    """Zero-forcing dirty-paper bound (see zfdp_rates)."""
+    return RateReport("zfdp", zfdp_rates(h))

@@ -24,13 +24,12 @@ import numpy as np
 
 from . import linalg
 from .gaussint import (
-    GaussInt,
     IntegerCoeffMatrix,
     ceil_norm_set,
     floor_norm_set,
     two_square_decomp,
 )
-from .rates import ChannelMatrix, DiagonalScale, RateReport, if_sum_rate, log2_pos
+from .rates import ChannelMatrix, DiagonalScale, RateReport, _norm_sq, if_rates, log2_pos
 from .reduction import _sorted_reduction, shortest_independent_columns
 
 # Numerically rank-deficient channels get their correlation clamped here so
@@ -51,6 +50,76 @@ class PrecoderDesign:
     rho: float = math.nan
 
 
+@dataclass(frozen=True)
+class PrecoderStack:
+    """Precoders T = c H^H M D0 A of one channel at its SNR points, as stacks.
+
+    Leading axes follow what each quantity depends on: the SNR axis (S,) when
+    it varies with SNR, none when it does not or the channel has a single SNR.
+    a_re, a_im: integer parts of A (..., K, K); d: diagonal of D0 (..., K);
+    c: power scale (...); y = c M D0 A (..., K, K), so that T = H^H y;
+    rates: per-user rates (..., K), NaN at points whose M is singular.
+    """
+
+    a_re: np.ndarray
+    a_im: np.ndarray
+    d: np.ndarray
+    c: np.ndarray
+    y: np.ndarray
+    rates: np.ndarray
+
+    def design(
+        self,
+        h: ChannelMatrix,
+        scheme: str,
+        regularized: bool,
+        unit_det: bool = True,
+        rho: float = math.nan,
+    ) -> PrecoderDesign:
+        """The PrecoderDesign of a stack built for a channel at a single SNR."""
+        c = float(self.c)
+        return PrecoderDesign(
+            a=IntegerCoeffMatrix(self.a_re, self.a_im),
+            d0=DiagonalScale(self.d, c=c, unit_det=unit_det),
+            c=c,
+            t=h.h.conj().T @ self.y,
+            rates=RateReport(scheme, self.rates),
+            regularized=regularized,
+            rho=rho,
+        )
+
+
+def precode(
+    h: ChannelMatrix,
+    d: np.ndarray,
+    a_re: np.ndarray,
+    a_im: np.ndarray,
+    regularized: bool = False,
+    normalize: bool = True,
+) -> PrecoderStack:
+    """T = c H^H M D0 A at every SNR point of h, with D0 = diag(d).
+
+    c saturates the unit power budget when normalize is set and is 1
+    otherwise.  Only K x K products are formed, for any number of antennas:
+    H T = G y with G = H H^H and y = c M D0 A, and trace(T^H T) = trace(y^H G y).
+    """
+    y = h.inv_gram(regularized) @ (d[..., :, None] * (a_re + 1j * a_im))
+    h_eff = h.gram @ y
+    power = (y.conj() * h_eff).real.sum(axis=(-2, -1))
+    c = 1.0 / np.sqrt(power) if normalize else np.ones(np.shape(power))
+    y = c[..., None, None] * y
+    h_eff = c[..., None, None] * h_eff
+    rates = if_rates(h_eff, a_re, a_im, h.snr, c * c * power)
+    return PrecoderStack(a_re, a_im, d, c, y, rates)
+
+
+def _rho(x: np.ndarray) -> np.ndarray:
+    """|X_12| / sqrt(X_11 X_22) over a (..., 2, 2) stack, clamped to RHO_MAX."""
+    x12 = x[..., 0, 1]
+    rho = np.hypot(x12.real, x12.imag) / np.sqrt(x[..., 0, 0].real * x[..., 1, 1].real)
+    return np.minimum(rho, RHO_MAX)
+
+
 def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
     """Normalized correlation between the two channel rows, in [0, 1).
 
@@ -61,18 +130,43 @@ def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
     """
     if h.k != 2:
         raise ValueError("rho is defined for two-user channels")
-    x = h.inv_gram(True) if regularized else h.gram
-    rho = abs(x[0, 1]) / math.sqrt(x[0, 0].real * x[1, 1].real)
-    return min(rho, RHO_MAX)
+    return float(_rho(h.inv_gram(True) if regularized else h.gram))
+
+
+def _f_of_a(a_re: np.ndarray, a_im: np.ndarray, rho) -> np.ndarray:
+    a = a_re + 1j * a_im
+    a1, a2 = a[..., 0, :], a[..., 1, :]
+    norms = _norm_sq(a1) * _norm_sq(a2)
+    cross = (a1.conj() * a2).sum(axis=-1)
+    return np.sqrt(norms) - rho * np.hypot(cross.real, cross.imag)
 
 
 def f_of_a(a: IntegerCoeffMatrix, rho: float) -> float:
     """||a_1|| ||a_2|| - rho |a_2 a_1^H|: the high-SNR design objective."""
-    a1, a2 = a.row(0), a.row(1)
-    return float(
-        math.sqrt(np.vdot(a1, a1).real * np.vdot(a2, a2).real)
-        - rho * abs(np.vdot(a1, a2))
-    )
+    return float(_f_of_a(a.re, a.im, rho))
+
+
+def _check_rho(rho) -> np.ndarray:
+    rho = np.asarray(rho, dtype=np.float64)
+    if not ((0.0 <= rho) & (rho < 1.0)).all():
+        raise ValueError("rho must lie in [0, 1)")
+    return rho
+
+
+def _closer(lo: np.ndarray, hi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Whichever candidate N minimizes sqrt(N+1) - rho sqrt(N); ties go to lo."""
+    f_lo = np.sqrt(lo + 1.0) - rho * np.sqrt(lo)
+    f_hi = np.sqrt(hi + 1.0) - rho * np.sqrt(hi)
+    return np.where(f_lo <= f_hi, lo, hi).astype(np.int64)
+
+
+def _optimal_n(rho) -> np.ndarray:
+    rho = _check_rho(rho)
+    x = rho * rho / (1.0 - rho * rho)
+    xs = x.ravel().tolist()
+    lo = np.array([floor_norm_set(v) for v in xs], dtype=np.float64).reshape(x.shape)
+    hi = np.array([ceil_norm_set(v) for v in xs], dtype=np.float64).reshape(x.shape)
+    return _closer(lo, hi, rho)
 
 
 def optimal_n(rho: float) -> int:
@@ -82,14 +176,32 @@ def optimal_n(rho: float) -> int:
     whichever minimizes sqrt(N+1) - rho sqrt(N); ties go to the smaller N
     (smaller coefficient norms help at finite SNR).
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    x = rho * rho / (1.0 - rho * rho)
-    lo = floor_norm_set(x)
-    hi = ceil_norm_set(x)
-    f_lo = math.sqrt(lo + 1.0) - rho * math.sqrt(lo)
-    f_hi = math.sqrt(hi + 1.0) - rho * math.sqrt(hi)
-    return lo if f_lo <= f_hi else hi
+    return int(_optimal_n(rho))
+
+
+def _lower_unimodular(a21_re, a21_im) -> tuple[np.ndarray, np.ndarray]:
+    """Integer parts of [[1, 0], [a21, 1]] for each entry of an a21 stack."""
+    shape = np.shape(a21_re)
+    re = np.zeros(shape + (2, 2), dtype=np.int64)
+    im = np.zeros(shape + (2, 2), dtype=np.int64)
+    re[..., 0, 0] = re[..., 1, 1] = 1
+    re[..., 1, 0] = a21_re
+    im[..., 1, 0] = a21_im
+    return re, im
+
+
+def _optimal_a(rho) -> tuple[np.ndarray, np.ndarray]:
+    n = _optimal_n(rho)
+    a21 = np.array([two_square_decomp(v) for v in n.ravel().tolist()], dtype=np.int64)
+    return _lower_unimodular(a21[:, 0].reshape(n.shape), a21[:, 1].reshape(n.shape))
+
+
+def _optimal_a_real(rho) -> tuple[np.ndarray, np.ndarray]:
+    # N = k^2 with k the floor or ceiling of u = rho / sqrt(1 - rho^2)
+    rho = _check_rho(rho)
+    u = rho / np.sqrt(1.0 - rho * rho)
+    n = _closer(np.floor(u) ** 2, np.ceil(u) ** 2, rho)
+    return _lower_unimodular(np.sqrt(n).astype(np.int64), 0)
 
 
 def transition_rho(n: int) -> float:
@@ -106,23 +218,25 @@ def transition_rho(n: int) -> float:
 
 def optimal_a_2user(rho: float) -> IntegerCoeffMatrix:
     """Lower-triangular unimodular coefficient matrix minimizing f_of_a."""
-    n = optimal_n(rho)
-    a21 = two_square_decomp(n)
-    return IntegerCoeffMatrix.from_rows(
-        [[GaussInt(1, 0), GaussInt(0, 0)], [a21, GaussInt(1, 0)]]
-    )
+    return IntegerCoeffMatrix(*_optimal_a(rho))
 
 
 def optimal_a_2user_real(rho: float) -> IntegerCoeffMatrix:
     """Best coefficient matrix when restricted to real integers (N = k^2)."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    u = rho / math.sqrt(1.0 - rho * rho)
-    cands = sorted({math.floor(u), math.ceil(u)})
-    k_best = min(cands, key=lambda k: (math.sqrt(k * k + 1.0) - rho * k, k))
-    return IntegerCoeffMatrix.from_rows(
-        [[GaussInt(1, 0), GaussInt(0, 0)], [GaussInt(k_best, 0), GaussInt(1, 0)]]
-    )
+    return IntegerCoeffMatrix(*_optimal_a_real(rho))
+
+
+def _optimal_d0(m: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:
+    # exp(4 beta) = ||a_2||^2 M_22 / (||a_1||^2 M_11)
+    v = (a_re**2 + a_im**2).sum(axis=-1) * np.diagonal(m, axis1=-2, axis2=-1).real
+    d1 = np.sqrt(np.sqrt(v[..., 1] / v[..., 0]))
+    a = a_re + 1j * a_im
+    cross = (a[..., 0, :].conj() * a[..., 1, :]).sum(axis=-1) * m[..., 0, 1]
+    dtheta = np.where(cross == 0, 0.0, -np.arctan2(-cross.imag, -cross.real))
+    d = np.empty(np.shape(d1) + (2,), dtype=np.complex128)
+    d[..., 0] = d1
+    d[..., 1] = (1.0 / d1) * np.exp(1j * dtheta)
+    return d
 
 
 def optimal_d0_2user(
@@ -140,18 +254,7 @@ def optimal_d0_2user(
         raise ValueError("closed-form diagonal needs a two-user channel")
     if a.k != 2 or not a.is_full_rank():
         raise ValueError("need a full-rank 2 x 2 coefficient matrix")
-    m = h.inv_gram(regularized)
-    a1, a2 = a.row(0), a.row(1)
-    n1 = math.sqrt(np.vdot(a1, a1).real)
-    n2 = math.sqrt(np.vdot(a2, a2).real)
-    beta = 0.5 * math.log(
-        (n2 * math.sqrt(m[1, 1].real)) / (n1 * math.sqrt(m[0, 0].real))
-    )
-    cross = complex(np.vdot(a1, a2) * m[0, 1])
-    dtheta = 0.0 if cross == 0 else -cmath.phase(-cross)
-    d1 = math.exp(beta)
-    d = np.array([d1, (1.0 / d1) * cmath.exp(1j * dtheta)])
-    return DiagonalScale(d, c=1.0, unit_det=True)
+    return DiagonalScale(_optimal_d0(h.inv_gram(regularized), a.re, a.im), c=1.0, unit_det=True)
 
 
 def build_precoder(
@@ -166,18 +269,7 @@ def build_precoder(
         raise ValueError("build_precoder expects a unit-|det| diagonal")
     if scheme is None:
         scheme = "rdif" if regularized else "dif"
-    t0 = h.h.conj().T @ h.inv_gram(regularized) @ (d0.d[:, None] * a.to_complex())
-    c = 1.0 / math.sqrt(linalg.frob_norm_sq(t0))
-    t = c * t0
-    rates = if_sum_rate(h, t, a, scheme=scheme)
-    return PrecoderDesign(
-        a=a,
-        d0=DiagonalScale(d0.d, c=c, unit_det=True),
-        c=c,
-        t=t,
-        rates=rates,
-        regularized=regularized,
-    )
+    return precode(h, d0.d, a.re, a.im, regularized).design(h, scheme, regularized)
 
 
 def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> float:
@@ -197,27 +289,49 @@ def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> 
     return 2.0 * log2_pos(det_g * h.snr / (2.0 * n1 * n2 * f_of_a(a, rho)))
 
 
+def dif_2user_stack(
+    h: ChannelMatrix, regularized: bool = False, real_constraint: bool = False
+) -> PrecoderStack:
+    """Closed-form two-user designs at every SNR point of h: rho -> table
+    lookup for A -> diagonal -> T.  The plain design does not depend on SNR;
+    only its rates do.  A point whose regularized M is singular gets A = I
+    and NaN rates.
+    """
+    if h.k != 2:
+        raise ValueError("closed-form design needs a two-user channel")
+    m = h.inv_gram(regularized)
+    # fmax drops the NaN rho of a singular point (A = I there)
+    rho = np.fmax(_rho(m) if regularized else _rho(h.gram), 0.0)
+    a_re, a_im = _optimal_a_real(rho) if real_constraint else _optimal_a(rho)
+    return precode(h, _optimal_d0(m, a_re, a_im), a_re, a_im, regularized)
+
+
 def design_dif_2user(
     h: ChannelMatrix, regularized: bool = False, real_constraint: bool = False
 ) -> PrecoderDesign:
-    """Closed-form two-user design: rho -> table lookup for A -> diagonal -> T."""
-    rho = rho_of_channel(h)
-    rho_design = rho_of_channel(h, True) if regularized else rho
-    a = optimal_a_2user_real(rho_design) if real_constraint else optimal_a_2user(rho_design)
-    d0 = optimal_d0_2user(h, a, regularized)
+    """Closed-form two-user design at the single SNR of h (see dif_2user_stack)."""
     scheme = ("rdif" if regularized else "dif") + ("_real" if real_constraint else "")
-    return replace(build_precoder(h, a, d0, regularized, scheme=scheme), rho=rho)
+    stack = dif_2user_stack(h, regularized, real_constraint)
+    return stack.design(h, scheme, regularized, rho=rho_of_channel(h))
 
 
-def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
-    """High-SNR shortfall (bits) of the two-user design below sum capacity:
+def asymptotic_gaps(rho, real_constraint: bool = False) -> np.ndarray:
+    """High-SNR shortfall (bits) of the two-user design below sum capacity, for
+    each correlation of a rho array:
 
     2 log2( f(A, rho) / sqrt(1 - rho^2) ), with A the optimal coefficient
     matrix, restricted to square N when only real integer coefficients are
     allowed.
     """
-    a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
-    return 2.0 * math.log2(f_of_a(a, rho) / math.sqrt(1.0 - rho * rho))
+    a_re, a_im = _optimal_a_real(rho) if real_constraint else _optimal_a(rho)
+    rho = np.asarray(rho, dtype=np.float64)
+    return 2.0 * np.log2(_f_of_a(a_re, a_im, rho) / np.sqrt(1.0 - rho * rho))
+
+
+def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
+    """High-SNR shortfall (bits) of the two-user design at correlation rho
+    (see asymptotic_gaps)."""
+    return float(asymptotic_gaps(rho, real_constraint))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float):

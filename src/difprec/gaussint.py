@@ -8,6 +8,7 @@ produced by channel correlations (a few hundred at most).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,6 +98,7 @@ def _nearby_member(n: int, round_up: bool = False) -> int:
     return a * a + b * b
 
 
+@lru_cache(maxsize=4096)
 def two_square_decomp(n: int) -> GaussInt:
     """Canonical a + b*j with a >= b >= 0 and a^2 + b^2 = n.
 
@@ -111,6 +113,51 @@ def two_square_decomp(n: int) -> GaussInt:
         if b * b == bb and a >= b:
             return GaussInt(a, b)
     raise ValueError(f"{n} is not a sum of two squares")
+
+
+def det_exact(re: np.ndarray, im: np.ndarray):
+    """Exact determinants of a (..., k, k) stack of Gaussian-integer matrices
+    given by their integer parts; returns the (re, im) parts, shaped (...).
+
+    Minor expansion along the rows, each minor (the trailing rows on a set of
+    columns) computed once for the whole stack.  A single matrix is expanded
+    in Python integers; a stack in int64 when k! max|entry|^k stays below
+    2^62, and in Python integers otherwise.
+    """
+    re = np.asarray(re)
+    im = np.asarray(im)
+    k = re.shape[-1]
+    if re.ndim == 2:
+        re, im = re.tolist(), im.tolist()
+    else:
+        bound = max(int(np.abs(re).max(initial=0)) + int(np.abs(im).max(initial=0)), 1)
+        if math.factorial(k) * bound**k >= 2**62:
+            re, im = re.astype(object), im.astype(object)
+        # matrix axes first, so that re[row][j] is the (...) stack of entries
+        re = np.moveaxis(re, (-2, -1), (0, 1))
+        im = np.moveaxis(im, (-2, -1), (0, 1))
+    # minors[cols]: (re, im) of the determinant of the last len(cols) rows on
+    # the columns in the bit set cols; the last row's minors are its entries
+    minors = {1 << j: (re[k - 1][j], im[k - 1][j]) for j in range(k)}
+    for row in range(k - 2, -1, -1):
+        nxt = {}
+        for cols in itertools.combinations(range(k), k - row):
+            key = sum(1 << j for j in cols)
+            acc = None
+            for pos, j in enumerate(cols):
+                sub_re, sub_im = minors[key & ~(1 << j)]
+                e_re, e_im = re[row][j], im[row][j]
+                t_re = e_re * sub_re - e_im * sub_im
+                t_im = e_re * sub_im + e_im * sub_re
+                if acc is None:
+                    acc = (t_re, t_im)
+                elif pos % 2:
+                    acc = (acc[0] - t_re, acc[1] - t_im)
+                else:
+                    acc = (acc[0] + t_re, acc[1] + t_im)
+            nxt[key] = acc
+        minors = nxt
+    return minors[(1 << k) - 1]
 
 
 @dataclass(frozen=True)
@@ -155,37 +202,9 @@ class IntegerCoeffMatrix:
         return self.re[i].astype(np.complex128) + 1j * self.im[i].astype(np.complex128)
 
     def det_exact(self) -> GaussInt:
-        """Exact determinant over the Gaussian integers (minor expansion)."""
-        k = self.k
-        re = [[int(v) for v in r] for r in self.re]
-        im = [[int(v) for v in r] for r in self.im]
-
-        def minor(row: int, cols: int) -> GaussInt:
-            if row == k:
-                return GaussInt(1, 0)
-            acc = GaussInt(0, 0)
-            sign = 1
-            for j in range(k):
-                bit = 1 << j
-                if cols & bit:
-                    continue
-                entry = GaussInt(re[row][j], im[row][j])
-                if entry.re or entry.im:
-                    sub = _minor_cached(row + 1, cols | bit)
-                    term = entry * sub
-                    acc = acc + (term if sign > 0 else -term)
-                sign = -sign
-            return acc
-
-        cache: dict[tuple[int, int], GaussInt] = {}
-
-        def _minor_cached(row: int, cols: int) -> GaussInt:
-            key = (row, cols)
-            if key not in cache:
-                cache[key] = minor(row, cols)
-            return cache[key]
-
-        return minor(0, 0)
+        """Exact determinant over the Gaussian integers."""
+        re, im = det_exact(self.re, self.im)
+        return GaussInt(int(re), int(im))
 
     def is_full_rank(self) -> bool:
         d = self.det_exact()

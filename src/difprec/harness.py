@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import design_rzf, design_zf, design_zfdp
-from .designer import asymptotic_gap, design_dif_2user, design_dif_generalk, rho_of_channel
+from .baselines import rzf_stack, zf_stack, zfdp_rates
+from .designer import asymptotic_gaps, design_dif_generalk, dif_2user_stack, rho_of_channel
 from .linalg import SingularMatrixError
-from .rates import ChannelMatrix, dpc_sum_capacity
+from .rates import ChannelMatrix, dpc_capacities
 
 ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
 
@@ -58,11 +58,17 @@ class ExperimentConfig:
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        if len(self.schemes) == 0:
+            raise ValueError("scheme list must be nonempty")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValueError("schemes must not repeat")
+        if len(set(self.snr_db)) != len(self.snr_db):
+            raise ValueError("SNR values must not repeat")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     scheme: str
     snr_db: float
@@ -87,56 +93,71 @@ def _design_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial, 0x5EED]).generate_state(1)[0])
 
 
-def _scheme_sum_rate(scheme: str, ch: ChannelMatrix, cfg: ExperimentConfig, trial: int, csum: float) -> float:
+def _infeasible_reason(scheme: str, k: int) -> str:
+    """Why a record is NaN: dif_real is a two-user design; any other NaN
+    record comes from a singular inverse Gram matrix."""
+    if scheme == "dif_real" and k != 2:
+        return "dif_real needs exactly two users"
+    return str(SingularMatrixError())
+
+
+def _scheme_sum_rates(
+    scheme: str, ch: ChannelMatrix, cfg: ExperimentConfig, trial: int, capacity: np.ndarray
+) -> np.ndarray:
+    """Sum rates of one scheme at every SNR point of ch, NaN where infeasible."""
     if scheme == "dpc":
-        return csum
+        return capacity
     if scheme == "zf":
-        return design_zf(ch).rates.sum_rate
+        return zf_stack(ch).rates.sum(axis=-1)
     if scheme == "rzf":
-        return design_rzf(ch).rates.sum_rate
+        return rzf_stack(ch).rates.sum(axis=-1)
     if scheme == "zfdp":
-        return design_zfdp(ch).sum_rate
-    if scheme == "dif_real":
-        if ch.k != 2:
-            raise _Infeasible("dif_real needs exactly two users")
-        return design_dif_2user(ch, regularized=False, real_constraint=True).rates.sum_rate
+        return zfdp_rates(ch).sum(axis=-1)
     regularized = scheme == "rdif"
     if ch.k == 2:
-        return design_dif_2user(ch, regularized).rates.sum_rate
-    return design_dif_generalk(
-        ch, regularized, restarts=cfg.restarts, seed=_design_seed(cfg.seed, trial)
-    ).rates.sum_rate
-
-
-class _Infeasible(ValueError):
-    pass
+        stack = dif_2user_stack(ch, regularized, real_constraint=scheme == "dif_real")
+        return stack.rates.sum(axis=-1)
+    if scheme == "dif_real":
+        return np.full(len(ch.snr), math.nan)
+    seed = _design_seed(cfg.seed, trial)
+    rates = []
+    for snr in ch.snr:
+        try:
+            design = design_dif_generalk(
+                ch.with_snr(snr), regularized, restarts=cfg.restarts, seed=seed
+            )
+            rates.append(design.rates.sum_rate)
+        except SingularMatrixError:
+            rates.append(math.nan)
+    return np.array(rates)
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
-    """All (snr, scheme) records for one channel realization."""
+    """All (snr, scheme) records for one channel realization.
+
+    Each scheme runs once over all SNR points; its time is split evenly over
+    its records, and the dpc records share the capacity's time too.  A scheme
+    whose inverse Gram matrix is singular gets NaN records.
+    """
     h = draw_channel(trial_rng(cfg.seed, trial), cfg.k, cfg.m)
+    ch = ChannelMatrix(h, 10.0 ** (np.array(cfg.snr_db) / 10.0))
+    n_snr = len(cfg.snr_db)
+    start = time.perf_counter()
+    capacity = dpc_capacities(ch)
+    dpc_ms = (time.perf_counter() - start) * 1e3
+    rho = rho_of_channel(ch) if cfg.k == 2 else math.nan
     records = []
-    for snr_db in cfg.snr_db:
-        ch = ChannelMatrix(h, 10.0 ** (snr_db / 10.0))
+    for scheme in cfg.schemes:
         start = time.perf_counter()
-        csum = dpc_sum_capacity(ch)
-        dpc_ms = (time.perf_counter() - start) * 1e3
-        rho = rho_of_channel(ch) if cfg.k == 2 else math.nan
-        for scheme in cfg.schemes:
-            start = time.perf_counter()
-            try:
-                sum_rate = _scheme_sum_rate(scheme, ch, cfg, trial, csum)
-                gap = csum - sum_rate
-            except (_Infeasible, SingularMatrixError) as exc:
-                print(f"warning: {scheme} infeasible for K={cfg.k}: {exc}", file=sys.stderr)
-                sum_rate = math.nan
-                gap = math.nan
-            wall_ms = (time.perf_counter() - start) * 1e3
-            if scheme == "dpc":
-                wall_ms += dpc_ms
-            records.append(
-                TrialRecord(scheme, snr_db, trial, rho, sum_rate, gap, wall_ms)
-            )
+        try:
+            sum_rates = _scheme_sum_rates(scheme, ch, cfg, trial, capacity)
+        except SingularMatrixError:
+            sum_rates = np.full(n_snr, math.nan)
+        gaps = capacity - sum_rates
+        wall_ms = (time.perf_counter() - start) * 1e3 + (dpc_ms if scheme == "dpc" else 0.0)
+        wall_ms /= n_snr
+        for snr_db, sum_rate, gap in zip(cfg.snr_db, sum_rates.tolist(), gaps.tolist()):
+            records.append(TrialRecord(scheme, snr_db, trial, rho, sum_rate, gap, wall_ms))
     return records
 
 
@@ -149,7 +170,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
 
     Records are sorted by (scheme, snr_db, trial); aggregate rows are
     (scheme, snr_db, mean sum rate, mean gap, stderr of the gap).  The
-    scientific content depends only on cfg, not on the job count.
+    scientific content depends only on cfg, not on the job count.  Each
+    scheme with NaN records gets one warning line on stderr with their count.
     """
     if jobs <= 1:
         per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
@@ -164,6 +186,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
     for r in records:
         groups.setdefault((r.scheme, r.snr_db), []).append(r)
     aggregate = []
+    infeasible = dict.fromkeys(cfg.schemes, 0)
     for scheme in sorted(cfg.schemes):
         for snr_db in cfg.snr_db:
             rows = groups[(scheme, snr_db)]
@@ -172,6 +195,14 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
             stderr = float(gaps.std(ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
             aggregate.append(
                 (scheme, snr_db, float(sums.mean()), float(gaps.mean()), stderr)
+            )
+            infeasible[scheme] += int(np.count_nonzero(np.isnan(sums)))
+    for scheme, n in infeasible.items():
+        if n:
+            reason = _infeasible_reason(scheme, cfg.k)
+            print(
+                f"warning: {scheme} infeasible for K={cfg.k} in {n} records: {reason}",
+                file=sys.stderr,
             )
     return records, aggregate
 
@@ -204,5 +235,4 @@ def gap_curve(resolution: int, real_constraint: bool = False) -> np.ndarray:
     if resolution < 2:
         raise ValueError("need at least two grid points")
     rhos = np.linspace(0.0, 0.999, resolution)
-    gaps = np.array([asymptotic_gap(r, real_constraint) for r in rhos])
-    return np.column_stack([rhos, gaps])
+    return np.column_stack([rhos, asymptotic_gaps(rhos, real_constraint)])

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .gaussint import IntegerCoeffMatrix
+from .gaussint import IntegerCoeffMatrix, det_exact
 
 POWER_TOL = 1e-9
 
@@ -30,18 +30,31 @@ def log2_pos(x: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """K x M complex downlink channel with its operating SNR (linear)."""
+    """K x M complex downlink channel with its operating SNR (linear).
+
+    snr is one value or a 1-D array of them: a channel at S SNR points, which
+    every two-user formula evaluates as one set of operations on stacks, with
+    the SNR axis leading.  Most functions take a single SNR.
+    """
 
     h: np.ndarray
-    snr: float
+    snr: float | np.ndarray
 
     def __post_init__(self):
         h = linalg.cmatrix(self.h)
         if h.shape[0] > h.shape[1]:
             raise ValueError("need at least as many transmit antennas as users")
-        if not (self.snr > 0 and math.isfinite(self.snr)):
+        if np.ndim(self.snr):
+            snr = np.array(self.snr, dtype=np.float64)
+            snr.setflags(write=False)
+            valid = snr.ndim == 1 and snr.size > 0 and bool(((snr > 0) & (snr < np.inf)).all())
+        else:
+            snr = float(self.snr)
+            valid = 0.0 < snr < math.inf
+        if not valid:
             raise ValueError("snr must be positive and finite")
         object.__setattr__(self, "h", h)
+        object.__setattr__(self, "snr", snr)
 
     @property
     def k(self) -> int:
@@ -64,15 +77,30 @@ class ChannelMatrix:
     def inv_gram(self, regularized: bool = False) -> np.ndarray:
         """M = G^-1, or (K/snr I + G)^-1 when regularized, inverted at most once
         per flag and shared (read-only) by every precoder built on this channel.
-        Raises linalg.SingularMatrixError when that matrix is singular.
+
+        The plain M and the regularized M at a single SNR are K x K and raise
+        linalg.SingularMatrixError when singular.  At S SNR points the
+        regularized M is an (S, K, K) stack built by one inverse, whose
+        singular members are NaN.
         """
         cache = self.__dict__.setdefault("_inverse_grams", {})
         if regularized not in cache:
-            g = self.gram + (self.k / self.snr) * np.eye(self.k) if regularized else self.gram
+            g = self.gram
+            if regularized:
+                g = g + (self.k / np.asarray(self.snr))[..., None, None] * np.eye(self.k)
             m = linalg.inverse(g)
             m.setflags(write=False)
             cache[regularized] = m
         return cache[regularized]
+
+
+def _check_rates(per_user: np.ndarray) -> None:
+    """The RateReport check for a stack of per-user rates (..., K): finite and
+    nonnegative, except that an all-NaN row is a point whose inverse Gram
+    matrix is singular and is left out."""
+    ok = (per_user >= 0) & (per_user < np.inf)
+    if not ok.all() and not (ok | np.isnan(per_user).all(axis=-1, keepdims=True)).all():
+        raise ValueError("per-user rates must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -142,21 +170,52 @@ def effective_noise_var(alpha: complex, h_eff: np.ndarray, a: np.ndarray, snr: f
     return float(snr * np.vdot(diff, diff).real + abs(alpha) ** 2)
 
 
-def comp_rate(h_eff: np.ndarray, a: np.ndarray, snr: float) -> float:
-    """Computation rate of the pair (h', a) at the given SNR.
+def _norm_sq(v: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a (..., K) stack; exact for Gaussian-integer rows."""
+    return (v.real**2 + v.imag**2).sum(axis=-1)
+
+
+def comp_rates(h_eff: np.ndarray, a: np.ndarray, snr) -> np.ndarray:
+    """Computation rates of (h', a) pairs given as rows (..., K), with snr
+    broadcast against (...):
 
     log2+ [ (1 + ||h'||^2 snr) / (||a||^2 + (||a||^2 ||h'||^2 - |h' a^H|^2) snr) ].
     """
-    h_eff = np.asarray(h_eff, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.complex128)
-    a_sq = np.vdot(a, a).real
-    if a_sq == 0:
+    a_sq = _norm_sq(a)
+    if (a_sq == 0).any():
         raise ValueError("coefficient vector must be nonzero")
-    h_sq = np.vdot(h_eff, h_eff).real
-    cross = abs(np.vdot(a, h_eff)) ** 2
+    h_sq = _norm_sq(h_eff)
+    cross = _norm_sq((a.conj() * h_eff).sum(axis=-1, keepdims=True))
     num = 1.0 + h_sq * snr
     den = a_sq + (a_sq * h_sq - cross) * snr
-    return log2_pos(num / den)
+    return np.log2(np.maximum(num / den, 1.0))
+
+
+def comp_rate(h_eff: np.ndarray, a: np.ndarray, snr: float) -> float:
+    """Computation rate of the pair (h', a) at the given SNR (see comp_rates)."""
+    h_eff = np.asarray(h_eff, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
+    return float(comp_rates(h_eff, a, snr))
+
+
+def if_rates(h_eff: np.ndarray, a_re: np.ndarray, a_im: np.ndarray, snr, power) -> np.ndarray:
+    """Per-user rates (..., K) of effective channels H_eff = H T with integer
+    coefficient matrices A = a_re + j a_im, all (..., K, K) stacks, at snr and
+    beamformer power trace(T^H T) broadcast against (...).
+
+    Every precoder passes the same checks here: the power bound, A full rank
+    (exact integer determinant) and finite, nonnegative rates.  A NaN power
+    marks a point whose inverse Gram matrix is singular; its rates stay NaN.
+    """
+    power = np.asarray(power)
+    if (power > 1.0 + POWER_TOL).any():
+        raise ValueError(f"power constraint violated: trace(T^H T) = {np.nanmax(power)}")
+    d_re, d_im = det_exact(a_re, a_im)
+    if np.any((d_re == 0) & (d_im == 0)):
+        raise ValueError("coefficient matrix is rank deficient")
+    rates = comp_rates(h_eff, a_re + 1j * a_im, np.asarray(snr)[..., None])
+    _check_rates(rates)
+    return rates
 
 
 def if_sum_rate(
@@ -166,14 +225,8 @@ def if_sum_rate(
     t = linalg.cmatrix(t)
     if t.shape != (h.m, h.k):
         raise ValueError(f"beamforming matrix must be {h.m} x {h.k}")
-    power = linalg.frob_norm_sq(t)
-    if power > 1.0 + POWER_TOL:
-        raise ValueError(f"power constraint violated: trace(T^H T) = {power}")
-    if not a.is_full_rank():
-        raise ValueError("coefficient matrix is rank deficient")
-    h_eff = h.h @ t
-    rates = [comp_rate(h_eff[i], a.row(i), h.snr) for i in range(h.k)]
-    return RateReport(scheme, np.array(rates))
+    rates = if_rates(h.h @ t, a.re, a.im, h.snr, linalg.frob_norm_sq(t))
+    return RateReport(scheme, rates)
 
 
 def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = "dif") -> RateReport:
@@ -207,31 +260,43 @@ def _project_capped_simplex(q: np.ndarray) -> np.ndarray:
     return np.maximum(q - theta, 0.0)
 
 
-def dpc_sum_capacity(h: ChannelMatrix) -> float:
-    """Broadcast sum capacity: sup over diagonal Q, trace <= 1, of
-    log2 det(I + snr H^H Q H).
+def dpc_capacities(h: ChannelMatrix) -> np.ndarray:
+    """Broadcast sum capacity at every SNR point of h (shaped like h.snr):
+    sup over diagonal Q, trace <= 1, of log2 det(I + snr H^H Q H).
 
     K = 1 and K = 2 are closed form.  For K = 2 the trace constraint is
     active and det(I + snr diag(q, 1 - q) G) is a concave quadratic in the
     power split q, maximized at its vertex 1/2 + (G11 - G22)/(2 snr det G)
     clamped to [0, 1]; when det G rounds to zero or below the quadratic term
     is gone and the stronger user's endpoint wins.  Larger K uses projected
-    gradient ascent on the capped simplex with step halving.
+    gradient ascent on the capped simplex with step halving, point by point.
     """
     g = h.gram
     snr = h.snr
     if h.k == 1:
-        return math.log2(1.0 + snr * g[0, 0].real)
+        return np.log2(1.0 + snr * g[0, 0].real)
     if h.k == 2:
         g11, g22, cross = g[0, 0].real, g[1, 1].real, abs(g[0, 1]) ** 2
         det_g = g11 * g22 - cross
-        q = 0.5 + (g11 - g22) / (2.0 * snr * det_g) if det_g > 0 else float(g11 >= g22)
-        q = min(max(q, 0.0), 1.0)
-        return math.log2(
+        if det_g > 0:
+            q = np.minimum(np.maximum(0.5 + (g11 - g22) / (2.0 * snr * det_g), 0.0), 1.0)
+        else:
+            q = np.zeros_like(snr) + float(g11 >= g22)
+        return np.log2(
             (1.0 + snr * q * g11) * (1.0 + snr * (1.0 - q) * g22)
             - snr * snr * q * (1.0 - q) * cross
         )
-    k = h.k
+    snr = np.asarray(snr)
+    return np.array([_dpc_ascent(g, float(s)) for s in snr.flat]).reshape(snr.shape)
+
+
+def dpc_sum_capacity(h: ChannelMatrix) -> float:
+    """Broadcast sum capacity of h at its single SNR (see dpc_capacities)."""
+    return float(dpc_capacities(h))
+
+
+def _dpc_ascent(g: np.ndarray, snr: float) -> float:
+    k = g.shape[0]
     eye = np.eye(k)
 
     def value(q: np.ndarray) -> float:
@@ -264,9 +329,15 @@ def dpc_sum_capacity(h: ChannelMatrix) -> float:
 def hi_snr_sum_capacity(h: ChannelMatrix) -> float:
     """K log2(snr/K) + log2 det(H H^H); the high-SNR capacity expansion.
 
-    May be negative at low SNR; returned unclamped.
+    May be negative at low SNR; returned unclamped.  Raises
+    linalg.SingularMatrixError when H H^H is singular at working precision,
+    where the expansion is minus infinity.
     """
     d = linalg.det(h.gram).real
+    if d <= 0.0:
+        raise linalg.SingularMatrixError(
+            "H H^H is singular to working precision; the high-SNR capacity expansion diverges"
+        )
     return h.k * math.log2(h.snr / h.k) + math.log2(d)
 
 

@@ -58,6 +58,12 @@ def test_config_validation():
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(restarts=-1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(schemes=())
+    with pytest.raises(ValueError):
+        ExperimentConfig(schemes=("zf", "zf"))
+    with pytest.raises(ValueError):
+        ExperimentConfig(snr_db=(10.0, 10.0))
     # dB values whose linear SNR is not finite and positive
     for snr_db in (math.nan, math.inf, 4000.0, -4000.0):
         with pytest.raises(ValueError):
@@ -111,22 +117,38 @@ def test_singular_channel_reports_nan_and_continues(monkeypatch, capsys):
     assert "warning: dif" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_warning_line_per_scheme_and_reason(monkeypatch, capfd, jobs):
+    """The parent prints one line per (scheme, reason) with its record count."""
+    rows = np.array([[1.0, 0.5j], [1.0 + 1e-7, 0.5j]])
+    monkeypatch.setattr(harness, "draw_channel", lambda rng, k, m: rows)
+    cfg = ExperimentConfig(snr_db=(0.0, 10.0, 20.0), trials=2, schemes=("dif", "zf", "rdif"), seed=1)
+    run_experiment(cfg, jobs=jobs)
+    lines = capfd.readouterr().err.splitlines()
+    assert lines == [
+        f"warning: {scheme} infeasible for K=2 in 6 records: matrix is singular to working precision"
+        for scheme in ("dif", "zf")
+    ]
+
+
 def test_dpc_rows_are_charged_the_capacity_time(monkeypatch):
-    capacity = harness.dpc_sum_capacity
+    """The capacity of all SNR points of a trial is one batch; its time is
+    split over that trial's dpc rows."""
+    capacities = harness.dpc_capacities
 
-    def slow_capacity(ch):
+    def slow_capacities(ch):
         time.sleep(0.005)
-        return capacity(ch)
+        return capacities(ch)
 
-    monkeypatch.setattr(harness, "dpc_sum_capacity", slow_capacity)
-    cfg = ExperimentConfig(snr_db=(0.0, 20.0), trials=2, schemes=("zf", "dpc"), seed=5)
+    monkeypatch.setattr(harness, "dpc_capacities", slow_capacities)
+    cfg = ExperimentConfig(snr_db=(0.0, 10.0, 20.0), trials=2, schemes=("zf", "dpc"), seed=5)
     records, _ = run_experiment(cfg)
-    dpc_rows = [r for r in records if r.scheme == "dpc"]
-    assert len(dpc_rows) == 4 and all(r.wall_ms >= 5.0 for r in dpc_rows)
+    for trial in range(2):
+        dpc_rows = [r for r in records if r.scheme == "dpc" and r.trial == trial]
+        assert len(dpc_rows) == 3 and sum(r.wall_ms for r in dpc_rows) >= 5.0
 
 
-def test_one_snr_point_builds_the_gram_once(monkeypatch):
-    """All seven schemes at one (trial, SNR) share the channel's G and both Ms."""
+def _count_gram_and_inverse(monkeypatch, cfg):
     calls = {"gram": 0, "inverse": 0}
 
     def counted(name):
@@ -140,7 +162,23 @@ def test_one_snr_point_builds_the_gram_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counted(name))
-    run_trial(ExperimentConfig(snr_db=(10.0,), trials=1, schemes=harness.ALL_SCHEMES, seed=3), 0)
+    run_trial(cfg, 0)
+    return calls
+
+
+def test_one_snr_point_builds_the_gram_once(monkeypatch):
+    """All seven schemes at one (trial, SNR) share the channel's G and both Ms."""
+    cfg = ExperimentConfig(snr_db=(10.0,), trials=1, schemes=harness.ALL_SCHEMES, seed=3)
+    calls = _count_gram_and_inverse(monkeypatch, cfg)
+    assert calls["gram"] == 1 and calls["inverse"] <= 2
+
+
+def test_one_trial_builds_the_gram_once_for_all_snr_points(monkeypatch):
+    """One G, one plain M and one stacked inverse for the regularized Ms of all
+    21 SNR points (the per-point engine made 21 Grams and 42 inverses)."""
+    cfg = ExperimentConfig(trials=1, schemes=harness.ALL_SCHEMES, seed=3)
+    assert len(cfg.snr_db) == 21
+    calls = _count_gram_and_inverse(monkeypatch, cfg)
     assert calls["gram"] == 1 and calls["inverse"] <= 2
 
 
@@ -234,6 +272,9 @@ def test_cli_gap_curve_and_errors(tmp_path):
     assert main(["--seed", "-1", "--out", str(tmp_path / "bad3")]) == 2
     assert main(["--restarts", "-1", "--out", str(tmp_path / "bad4")]) == 2
     assert main(["--jobs", "0", "--out", str(tmp_path / "bad5")]) == 2
+    assert main(["--schemes", "", "--out", str(tmp_path / "bad6")]) == 2
+    assert main(["--schemes", "zf,zf", "--out", str(tmp_path / "bad7")]) == 2
+    assert main(["--snr-db", "10,10", "--out", str(tmp_path / "bad8")]) == 2
     for i, spec in enumerate(("nan", "inf", "4000", "-4000")):
         assert main([f"--snr-db={spec}", "--out", str(tmp_path / f"bad_snr{i}")]) == 2
 

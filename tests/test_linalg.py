@@ -81,6 +81,25 @@ def test_rank_deficient_products_are_singular():
         assert linalg.det(m) == 0
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_stacks_follow_the_same_rule(n):
+    """A (..., n, n) stack is inverted member by member; its singular members
+    come back as NaN, the others as their own inverse, and their det is 0."""
+    rng = np.random.default_rng(12)
+    stack = rand_cmatrix(rng, 3 * n, n).reshape(3, n, n)
+    stack[1] = np.diag([1.0] * (n - 1) + [1e-13])
+    inv = linalg.inverse(stack)
+    assert inv.shape == stack.shape
+    assert np.all(np.isnan(inv[1]))
+    for i in (0, 2):
+        single = linalg.inverse(stack[i])
+        assert np.max(np.abs(inv[i] - single)) <= 1e-12 * np.max(np.abs(single))
+    assert list(linalg._is_singular(stack)) == [False, True, False]
+    dets = linalg.det(stack)
+    assert dets[1] == 0
+    assert all(abs(dets[i] - linalg.det(stack[i])) <= 1e-12 * abs(dets[i]) for i in (0, 2))
+
+
 def test_det_multiplicative():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4):

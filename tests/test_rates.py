@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from difprec.gaussint import GaussInt, IntegerCoeffMatrix
+from difprec.linalg import SingularMatrixError
 from difprec.rates import (
     ChannelMatrix,
     DiagonalScale,
@@ -256,6 +257,14 @@ def test_hi_snr_sum_capacity():
     for _ in range(5):
         hr = rand_channel(rng, 2, 2, 1e6)
         assert abs(dpc_sum_capacity(hr) - hi_snr_sum_capacity(hr)) <= 0.01
+
+
+def test_hi_snr_sum_capacity_of_a_singular_channel():
+    """Rows 1e-7 apart: H H^H is singular at working precision, and the
+    expansion (minus infinity) is refused by name, not by a math domain error."""
+    h = ChannelMatrix(np.array([[1.0, 0.5j], [1.0 + 1e-7, 0.5j]]), 1e3)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        hi_snr_sum_capacity(h)
 
 
 def test_gap_to_capacity():
