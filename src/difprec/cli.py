@@ -111,28 +111,28 @@ def main(argv=None) -> int:
             print(f"wrote {out_dir / 'gap_curve.csv'}")
             return 0
 
-        k = pick("k", int, 2)
+        defaults = ExperimentConfig()
+        k = pick("k", int, defaults.k)
         m = pick("m", int, k)
-        trials = pick("trials", int, 1000 if k == 2 else 200)
+        trials = pick("trials", int, defaults.trials if k == 2 else 200)
         schemes_spec = pick("schemes", str, None)
         if schemes_spec is None:
-            schemes = ["dif", "rdif", "zf", "rzf", "zfdp", "dpc"]
+            schemes = list(defaults.schemes)
             if real and k == 2:
                 schemes.append("dif_real")
         else:
             schemes = [s.strip() for s in schemes_spec.split(",") if s.strip()]
         snr_spec = pick("snr_db", str, None)
-        snr_db = parse_snr_spec(snr_spec) if isinstance(snr_spec, str) else (snr_spec or ExperimentConfig().snr_db)
+        snr_db = parse_snr_spec(snr_spec) if isinstance(snr_spec, str) else (snr_spec or defaults.snr_db)
 
         cfg = ExperimentConfig(
             k=k,
             m=m,
             snr_db=snr_db,
             trials=trials,
-            seed=pick("seed", int, 1),
+            seed=pick("seed", int, defaults.seed),
             schemes=tuple(schemes),
-            restarts=pick("restarts", int, 8),
-            out=str(out_dir),
+            restarts=pick("restarts", int, defaults.restarts),
         )
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ class ExperimentConfig:
     seed: int = 1
     schemes: tuple[str, ...] = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc")
     restarts: int = 8
-    out: str | None = None
 
     def __post_init__(self):
         if not 1 <= self.k <= self.m:
@@ -62,6 +61,8 @@ class ExperimentConfig:
             raise ValueError("scheme list must be nonempty")
         if len(set(self.schemes)) != len(self.schemes):
             raise ValueError("schemes must not repeat")
+        if self.k == 1 and {"dif", "rdif", "dif_real"} & set(self.schemes):
+            raise ValueError("dif, rdif and dif_real need at least two users")
         if len(set(self.snr_db)) != len(self.snr_db):
             raise ValueError("SNR values must not repeat")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))

@@ -64,6 +64,9 @@ def test_config_validation():
         ExperimentConfig(schemes=("zf", "zf"))
     with pytest.raises(ValueError):
         ExperimentConfig(snr_db=(10.0, 10.0))
+    for scheme in ("dif", "rdif", "dif_real"):
+        with pytest.raises(ValueError, match="at least two users"):
+            ExperimentConfig(k=1, schemes=(scheme, "dpc"))
     # dB values whose linear SNR is not finite and positive
     for snr_db in (math.nan, math.inf, 4000.0, -4000.0):
         with pytest.raises(ValueError):
@@ -277,6 +280,26 @@ def test_cli_gap_curve_and_errors(tmp_path):
     assert main(["--snr-db", "10,10", "--out", str(tmp_path / "bad8")]) == 2
     for i, spec in enumerate(("nan", "inf", "4000", "-4000")):
         assert main([f"--snr-db={spec}", "--out", str(tmp_path / f"bad_snr{i}")]) == 2
+
+
+def test_cli_single_user(tmp_path, capsys):
+    """K = 1 with the default schemes is a configuration error (exit 2, no
+    traceback); without the search-based schemes it runs, and its capacity
+    is log2(1 + snr ||h||^2)."""
+    args = ["--k", "1", "--m", "2", "--trials", "1", "--snr-db", "10"]
+    assert main(args + ["--out", str(tmp_path / "bad")]) == 2
+    assert "at least two users" in capsys.readouterr().err
+    out = tmp_path / "k1"
+    args = ["--k", "1", "--m", "2", "--trials", "2", "--snr-db", "0,10", "--seed", "4"]
+    assert main(args + ["--schemes", "zf,rzf,zfdp,dpc", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "trials.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4 * 2 * 2
+    for scheme, snr_db, trial, _, rate, gap, _ in rows:
+        h = draw_channel(trial_rng(4, int(trial)), 1, 2)
+        capacity = math.log2(1.0 + 10.0 ** (float(snr_db) / 10.0) * np.sum(np.abs(h) ** 2))
+        assert abs(float(rate) + float(gap) - capacity) <= 1e-10  # 12 printed digits
+        if scheme == "dpc":
+            assert float(gap) == 0.0
 
 
 def test_run_trial_matches_run_experiment():

@@ -8,11 +8,14 @@ import pytest
 from difprec.gaussint import GaussInt, IntegerCoeffMatrix
 from difprec.linalg import SingularMatrixError
 from difprec.rates import (
+    FW_GAP_BITS,
     ChannelMatrix,
     DiagonalScale,
     RateReport,
+    _dpc_pairwise,
     comp_rate,
     dif_rate,
+    dpc_capacities,
     dpc_sum_capacity,
     effective_noise_var,
     gap_to_capacity,
@@ -200,6 +203,9 @@ def test_dif_rate_crosschecks_if_sum_rate():
         assert np.allclose(closed.per_user, design.rates.per_user, rtol=1e-9, atol=1e-12)
 
 
+SNR_GRID = 10.0 ** (np.arange(-10.0, 40.0 + 1e-9, 2.5) / 10.0)
+
+
 def test_dpc_symmetric_and_single_user():
     h = ChannelMatrix(np.eye(2, dtype=complex), 2.0)
     assert abs(dpc_sum_capacity(h) - 2.0) < 1e-9
@@ -207,6 +213,8 @@ def test_dpc_symmetric_and_single_user():
     h1 = rand_channel(rng, 1, 3, 5.0)
     expected = math.log2(1.0 + 5.0 * np.sum(np.abs(h1.h) ** 2))
     assert abs(dpc_sum_capacity(h1) - expected) < 1e-12
+    expected = np.log2(1.0 + SNR_GRID * np.sum(np.abs(h1.h) ** 2))
+    assert np.abs(dpc_capacities(h1.with_snr(SNR_GRID)) - expected).max() < 1e-12
 
 
 def test_dpc_matches_grid_search():
@@ -225,8 +233,8 @@ def test_dpc_matches_grid_search():
 
 
 def test_dpc_general_k_agrees_with_2user_solver():
-    """Projected-gradient path (forced via k>2 machinery) on a 3-user channel
-    against a fine grid over the 2-simplex."""
+    """The general-K solver on a 3-user channel against a fine grid over the
+    2-simplex."""
     rng = np.random.default_rng(10)
     h = rand_channel(rng, 3, 3, 20.0)
     g = h.h @ h.h.conj().T
@@ -239,6 +247,103 @@ def test_dpc_general_k_agrees_with_2user_solver():
             best = max(best, math.log2(abs(d)))
     assert dpc_sum_capacity(h) >= best - 1e-9
     assert dpc_sum_capacity(h) <= best + 5e-3  # grid resolution slack
+
+
+def dpc_value_oracle(g, snr, q):
+    """log2 det(I + snr diag(q) G) for a stack of power vectors q (..., K),
+    through the K x K form of the objective."""
+    k = g.shape[0]
+    return np.log2(np.abs(np.linalg.det(np.eye(k) + snr * q[..., :, None] * g)))
+
+
+def dpc_brute_force_3user(g, snr, levels=8, width=12):
+    """Best objective over nested grids on the 2-simplex: each level puts a
+    (2 width + 1)^2 grid, ten times finer than the last, around the best
+    point so far; points off the simplex are clipped onto it."""
+    step = 1.0 / width
+    best_q, best = np.full(3, 1.0 / 3.0), -np.inf
+    offsets = np.arange(-width, width + 1) * 1.0
+    for _ in range(levels):
+        q1, q2 = np.meshgrid(best_q[0] + step * offsets, best_q[1] + step * offsets)
+        q = np.stack([q1.ravel(), q2.ravel(), 1.0 - q1.ravel() - q2.ravel()], axis=-1)
+        q = np.maximum(q, 0.0)
+        q /= q.sum(axis=-1, keepdims=True)
+        values = dpc_value_oracle(g, snr, q)
+        if values.max() > best:
+            best_q, best = q[values.argmax()], values.max()
+        step /= 10.0
+    return best
+
+
+def fw_gap_bits_oracle(g, snr, q):
+    """Frank-Wolfe gap of the powers q at one SNR, from the K x K form of the
+    gradient, the diagonal of snr (I + snr G diag(q))^-1 G."""
+    k = g.shape[0]
+    grad = snr * np.linalg.solve(np.eye(k) + snr * g * q, g).diagonal().real
+    return (grad.max() - grad @ q) / math.log(2.0)
+
+
+def edge_channels():
+    rng = np.random.default_rng(5)
+    zero_row = rand_channel(rng, 3, 3, 1.0).h
+    zero_row[1] = 0.0
+    close_rows = rand_channel(rng, 3, 3, 1.0).h
+    close_rows[2] = close_rows[1] + 1e-7
+    return {"zero_row": zero_row, "all_zero": np.zeros((3, 3)), "close_rows": close_rows}
+
+
+def test_dpc_3user_brute_force_oracle():
+    """Within the 1e-9-bit certificate of the best point of refined simplex
+    grids, on either side (the finest grid's own error is far smaller)."""
+    rng = np.random.default_rng(15)
+    channels = [rand_channel(rng, 3, 3, 1.0).h for _ in range(6)]
+    channels += [rand_channel(rng, 3, 4, 1.0).h, edge_channels()["close_rows"]]
+    for h in channels:
+        for snr_db in (-10.0, 10.0, 30.0):
+            ch = ChannelMatrix(h, 10.0 ** (snr_db / 10.0))
+            brute = dpc_brute_force_3user(ch.gram, ch.snr)
+            capacity = dpc_sum_capacity(ch)
+            assert brute - 1e-9 <= capacity <= brute + 1e-9
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_dpc_stacked_over_snr_is_certified(k):
+    """All 21 SNR points as one stack give the single-SNR values, and the
+    returned powers satisfy the Frank-Wolfe certificate."""
+    rng = np.random.default_rng(16 + k)
+    for _ in range(10):
+        h = rand_channel(rng, k, k + 1, 1.0).h
+        g = h @ h.conj().T
+        capacity, q = _dpc_pairwise(ChannelMatrix(h, SNR_GRID))
+        single = [dpc_sum_capacity(ChannelMatrix(h, snr)) for snr in SNR_GRID]
+        assert np.abs(capacity - single).max() <= 1e-12
+        assert (q >= 0).all() and np.abs(q.sum(axis=-1) - 1.0).max() <= 1e-12
+        for snr, cap, qs in zip(SNR_GRID, capacity, q):
+            assert fw_gap_bits_oracle(g, snr, qs) <= FW_GAP_BITS + 1e-12
+            assert abs(cap - dpc_value_oracle(g, snr, qs)) <= 1e-10
+
+
+def test_dpc_edge_channels():
+    """A user with a zero row adds nothing: the capacity is the two-user
+    closed form of the other rows.  An all-zero channel has capacity 0, and
+    rows 1e-7 apart give a finite, certified capacity up to 40 dB.  Far
+    above that, rounding can keep such a channel from certifying; the call
+    still returns, with NaN for those points."""
+    channels = edge_channels()
+    zero_row = dpc_capacities(ChannelMatrix(channels["zero_row"], SNR_GRID))
+    two_user = dpc_capacities(ChannelMatrix(channels["zero_row"][[0, 2]], SNR_GRID))
+    assert np.abs(zero_row - two_user).max() <= 1e-9
+    assert (dpc_capacities(ChannelMatrix(channels["all_zero"], SNR_GRID)) == 0.0).all()
+    h = channels["close_rows"]
+    g = h @ h.conj().T
+    capacity, q = _dpc_pairwise(ChannelMatrix(h, SNR_GRID))
+    assert np.isfinite(capacity).all()
+    assert np.abs(capacity - dpc_value_oracle(g, SNR_GRID[:, None, None], q)).max() <= 1e-10
+    for snr, qs in zip(SNR_GRID, q):
+        assert fw_gap_bits_oracle(g, snr, qs) <= FW_GAP_BITS + 1e-12
+    extreme = dpc_capacities(ChannelMatrix(h, 10.0 ** np.arange(10.0, 16.0)))
+    assert np.isfinite(extreme[:2]).all()
+    assert (np.isfinite(extreme) | np.isnan(extreme)).all()
 
 
 def test_dpc_monotone_in_snr():
