@@ -39,13 +39,14 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
     """Zero-forcing with water-filled power loading at every SNR point of h.
 
     T = H^H (H H^H)^-1 D with |d_i|^2 = max(0, mu/M_ii - 1/snr) and
-    sum_i M_ii |d_i|^2 = 1; per-user rates are log2(1 + |d_i|^2 snr).
+    sum_i M_ii |d_i|^2 = 1, so that c = 1 up to rounding; per-user rates are
+    log2(1 + |d_i|^2 snr).
     """
     m_diag = np.real(np.diag(h.inv_gram()))
     # substitute p_i = M_ii |d_i|^2: water-fill with floors M_ii/snr, budget 1
     p = _waterfill(m_diag / np.asarray(h.snr)[..., None], 1.0)
     d = np.sqrt(p / m_diag).astype(np.complex128)
-    return precode(h, d, *_identity(h.k), regularized=False, normalize=False)
+    return precode(h, d, *_identity(h.k), regularized=False)
 
 
 def design_zf(h: ChannelMatrix) -> PrecoderDesign:

@@ -95,21 +95,21 @@ def precode(
     a_re: np.ndarray,
     a_im: np.ndarray,
     regularized: bool = False,
-    normalize: bool = True,
 ) -> PrecoderStack:
-    """T = c H^H M D0 A at every SNR point of h, with D0 = diag(d).
+    """T = c H^H M D0 A at every SNR point of h, with D0 = diag(d) and c
+    saturating the unit power budget.
 
-    c saturates the unit power budget when normalize is set and is 1
-    otherwise.  Only K x K products are formed, for any number of antennas:
-    H T = G y with G = H H^H and y = c M D0 A, and trace(T^H T) = trace(y^H G y).
+    The power and the effective channel H T are taken from T itself: formed
+    through G = H H^H (as y^H G y and G y) they lose about cond(G) eps, enough
+    on an ill-conditioned channel to overrun the budget or report a rate
+    above capacity.
     """
     y = h.inv_gram(regularized) @ (d[..., :, None] * (a_re + 1j * a_im))
-    h_eff = h.gram @ y
-    power = (y.conj() * h_eff).real.sum(axis=(-2, -1))
-    c = 1.0 / np.sqrt(power) if normalize else np.ones(np.shape(power))
+    t = h.h.conj().T @ y
+    power = (t.conj() * t).real.sum(axis=(-2, -1))
+    c = 1.0 / np.sqrt(power)
     y = c[..., None, None] * y
-    h_eff = c[..., None, None] * h_eff
-    rates = if_rates(h_eff, a_re, a_im, h.snr, c * c * power)
+    rates = if_rates(h.h @ (c[..., None, None] * t), a_re, a_im, h.snr, c * c * power)
     return PrecoderStack(a_re, a_im, d, c, y, rates)
 
 

@@ -2,8 +2,10 @@
 
 Everything here is integer-exact (Python ints); the floating-point world only
 enters through explicit conversions.  The two-squares set N2 = {a^2 + b^2} is
-handled by direct enumeration, which is plenty fast for the argument sizes
-produced by channel correlations (a few hundred at most).
+handled by direct enumeration at every size, with no approximate fallback.
+Its cost grows as sqrt(n): milliseconds per call, tens at most, at the
+largest arguments the two-user designer produces (about 5e8, at its
+correlation clamp).
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-# Above this, floor/ceil fall back to a nearby representable value instead of
-# an exact scan (exactness is irrelevant there and the scan would be slow).
-_EXACT_NORM_SET_LIMIT = 10**7
 
 
 class GaussInt(NamedTuple):
@@ -65,37 +63,25 @@ def in_norm_set(n: int) -> bool:
 
 
 def floor_norm_set(x: float) -> int:
-    """Largest member of the two-squares set that is <= x."""
+    """Largest member of the two-squares set that is <= x (an exact scan,
+    whose cost grows as sqrt(x))."""
     if x < 0:
         raise ValueError("floor_norm_set requires x >= 0")
     n = math.floor(x)
-    if n > _EXACT_NORM_SET_LIMIT:
-        return _nearby_member(n)
     while n > 0 and not in_norm_set(n):
         n -= 1
     return n
 
 
 def ceil_norm_set(x: float) -> int:
-    """Smallest member of the two-squares set that is >= x."""
+    """Smallest member of the two-squares set that is >= x (an exact scan,
+    whose cost grows as sqrt(x))."""
     if x < 0:
         raise ValueError("ceil_norm_set requires x >= 0")
     n = math.ceil(x)
-    if n > _EXACT_NORM_SET_LIMIT:
-        return _nearby_member(n, round_up=True)
     while not in_norm_set(n):
         n += 1
     return n
-
-
-def _nearby_member(n: int, round_up: bool = False) -> int:
-    # a^2 + b^2 with a = isqrt(n): within O(sqrt(n)) of n, always representable.
-    # b = isqrt(n - a^2) lands at or below n; one more lands above it.
-    a = math.isqrt(n)
-    b = math.isqrt(n - a * a)
-    if round_up and a * a + b * b < n:
-        b += 1
-    return a * a + b * b
 
 
 @lru_cache(maxsize=4096)

@@ -3,8 +3,11 @@
 Messages live in Z_p[j] with p prime and p = 3 (mod 4), which makes Z_p[j] a
 field of order p^2.  The transmitter pre-inverts the integer coefficient
 matrix A there (W' = inv(A) W mod p) so that the integer combination each
-receiver decodes, a_i W' mod p, is exactly its own message row.  All
-arithmetic is exact on int64 component arrays.
+receiver decodes, a_i W' mod p, is exactly its own message row.  The
+inverse is the adjugate, from the exact cofactors of gaussint.det_exact, times
+the field inverse of det(A).  All arithmetic is exact: message parts are
+int64 arrays reduced mod p, for every p that ModPField accepts (p^2 < 2^63),
+and products whose sums could overflow int64 are taken in Python integers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussint import IntegerCoeffMatrix
+from .gaussint import IntegerCoeffMatrix, det_exact
 
 
 class NotInvertibleModPError(ValueError):
@@ -35,11 +38,16 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class ModPField:
-    """Z_p[j] for prime p = 3 (mod 4)."""
+    """Z_p[j] for prime p = 3 (mod 4) with p^2 < 2^63: the largest accepted p
+    is 3,037,000,427.  The bound is checked before the trial-division
+    primality test, whose cost grows as sqrt(p).
+    """
 
     p: int
 
     def __post_init__(self):
+        if self.p * self.p >= 2**63:
+            raise ValueError(f"p = {self.p} is too large: need p^2 < 2^63")
         if not _is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.p % 4 != 3:
@@ -92,35 +100,25 @@ class MessageMatrix:
         return MessageMatrix(self.field, self.re + other.re, self.im + other.im)
 
 
-def _scalar_mul(ar, ai, br, bi, p):
-    return (ar * br - ai * bi) % p, (ar * bi + ai * br) % p
-
-
-def _scalar_pow(ar: int, ai: int, e: int, p: int):
-    # Square-and-multiply in the field of order p^2.
-    rr, ri = 1, 0
-    br, bi = ar % p, ai % p
-    while e:
-        if e & 1:
-            rr, ri = _scalar_mul(rr, ri, br, bi, p)
-        br, bi = _scalar_mul(br, bi, br, bi, p)
-        e >>= 1
-    return rr, ri
-
-
-def _scalar_inv(ar: int, ai: int, p: int):
-    # x^(p^2 - 2) = x^(-1) in the multiplicative group of order p^2 - 1.
-    if ar % p == 0 and ai % p == 0:
-        raise ZeroDivisionError("zero has no inverse in Z_p[j]")
-    return _scalar_pow(ar, ai, p * p - 2, p)
-
-
 def _matmul_modp(ar, ai, br, bi, p):
+    # Reduced parts: each product is below p^2, and a sum of 2K of them must
+    # fit in int64; past that the products are taken in Python integers.
+    if 2 * ar.shape[-1] * (p - 1) ** 2 >= 2**63:
+        ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
     return (ar @ br - ai @ bi) % p, (ar @ bi + ai @ br) % p
 
 
-def _reduce_coeffs(a: IntegerCoeffMatrix, field: ModPField):
-    return a.re % field.p, a.im % field.p
+def _cofactors(a: IntegerCoeffMatrix):
+    """Exact (re, im) cofactor matrices of A, from one stacked det_exact call
+    over its K^2 minors."""
+    k = a.k
+    if k == 1:
+        return np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    keep = np.array([[r for r in range(k) if r != i] for i in range(k)])
+    rows, cols = keep[:, None, :, None], keep[None, :, None, :]
+    minor_re, minor_im = det_exact(a.re[rows, cols], a.im[rows, cols])
+    sign = 1 - 2 * (np.add.outer(np.arange(k), np.arange(k)) % 2)
+    return sign * minor_re, sign * minor_im
 
 
 def modp_invertible(a: IntegerCoeffMatrix, field: ModPField) -> bool:
@@ -130,35 +128,24 @@ def modp_invertible(a: IntegerCoeffMatrix, field: ModPField) -> bool:
 
 
 def modp_inverse(a: IntegerCoeffMatrix, field: ModPField) -> MessageMatrix:
-    """K x K matrix over Z_p[j] with A @ result = I mod p (Gauss-Jordan)."""
+    """K x K matrix over Z_p[j] with A @ result = I mod p: adj(A) det(A)^-1.
+
+    (x + yj)^-1 = (x - yj) (x^2 + y^2)^-1 mod p, and x^2 + y^2 = 0 mod p only
+    when x = y = 0 mod p, because p = 3 (mod 4).
+    """
     p = field.p
-    k = a.k
-    mr, mi = _reduce_coeffs(a, field)
-    mr = mr.astype(np.int64).copy()
-    mi = mi.astype(np.int64).copy()
-    xr = np.eye(k, dtype=np.int64)
-    xi = np.zeros((k, k), dtype=np.int64)
-    for col in range(k):
-        piv = next(
-            (r for r in range(col, k) if mr[r, col] != 0 or mi[r, col] != 0), None
-        )
-        if piv is None:
-            raise NotInvertibleModPError(f"matrix not invertible mod {p}")
-        if piv != col:
-            mr[[col, piv]], mi[[col, piv]] = mr[[piv, col]].copy(), mi[[piv, col]].copy()
-            xr[[col, piv]], xi[[col, piv]] = xr[[piv, col]].copy(), xi[[piv, col]].copy()
-        invr, invi = _scalar_inv(int(mr[col, col]), int(mi[col, col]), p)
-        for arr_r, arr_i in ((mr, mi), (xr, xi)):
-            arr_r[col], arr_i[col] = _scalar_mul(arr_r[col], arr_i[col], invr, invi, p)
-        for r in range(k):
-            if r == col or (mr[r, col] == 0 and mi[r, col] == 0):
-                continue
-            fr, fi = int(mr[r, col]), int(mi[r, col])
-            for arr_r, arr_i in ((mr, mi), (xr, xi)):
-                tr, ti = _scalar_mul(arr_r[col], arr_i[col], fr, fi, p)
-                arr_r[r] = (arr_r[r] - tr) % p
-                arr_i[r] = (arr_i[r] - ti) % p
-    return MessageMatrix(field, xr, xi)
+    d = a.det_exact()
+    norm = (d.re * d.re + d.im * d.im) % p
+    if norm == 0:
+        raise NotInvertibleModPError(f"matrix not invertible mod {p}")
+    scale = pow(norm, -1, p)
+    inv_re, inv_im = d.re * scale % p, -d.im * scale % p
+    adj_re, adj_im = (c.T.astype(object) for c in _cofactors(a))
+    return MessageMatrix(
+        field,
+        (adj_re * inv_re - adj_im * inv_im) % p,
+        (adj_re * inv_im + adj_im * inv_re) % p,
+    )
 
 
 def precode_messages(w: MessageMatrix, a: IntegerCoeffMatrix) -> MessageMatrix:

@@ -292,7 +292,7 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     FW_GAP_BITS; its value comes from det(I + snr Q^1/2 G Q^1/2), exact for
     one user.  Rounding in S grows like snr ||G|| eps: a point that has not
     certified after FW_MAX_STEPS steps (rank-deficient channels far above
-    100 dB) is NaN.
+    100 dB), or whose Z is singular in floating point, is NaN.
     """
     h_herm = h.h.conj().T
     snr_all = np.reshape(h.snr, -1)
@@ -303,12 +303,13 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
         snr_t = snr_all[todo][:, None, None]
         q_t = q[todo]
         z = np.eye(h.m) + snr_t * ((h_herm * q_t[:, None, :]) @ h.h)
-        a = snr_t * (h.h @ np.linalg.solve(z, h_herm))
+        a = snr_t * (h.h @ _solve_or_nan(z, h_herm))
         s = a.diagonal(axis1=-2, axis2=-1).real
         done = s.max(axis=-1) - (s * q_t).sum(axis=-1) <= FW_GAP_BITS * math.log(2.0)
         w = np.eye(h.k) + snr_t[done] * np.sqrt(q_t[done, :, None] * q_t[done, None, :]) * h.gram
         capacity[todo[done]] = np.linalg.slogdet(w)[1] / math.log(2.0)
-        todo, a, s, q_t = todo[~done], a[~done], s[~done], q_t[~done]
+        live = ~done & ~np.isnan(s[:, 0])
+        todo, a, s, q_t = todo[live], a[live], s[live], q_t[live]
         if not todo.size:
             break
         rows = np.arange(todo.size)
@@ -321,6 +322,18 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
         q[todo, i] += step
         q[todo, j] -= step
     return capacity.reshape(np.shape(h.snr)), q.reshape(np.shape(h.snr) + (h.k,))
+
+
+def _solve_or_nan(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(z, b) over a stack of z, NaN for each member whose LU
+    factorization meets an exact zero pivot: one such member makes a stacked
+    solve raise for all of them, so the stack is then solved member by member."""
+    try:
+        return np.linalg.solve(z, b)
+    except np.linalg.LinAlgError:
+        if z.ndim == 2:
+            return np.full(b.shape, np.nan, dtype=np.complex128)
+        return np.stack([_solve_or_nan(z_n, b) for z_n in z])
 
 
 def hi_snr_sum_capacity(h: ChannelMatrix) -> float:

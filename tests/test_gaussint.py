@@ -1,5 +1,7 @@
 """Gaussian-integer arithmetic and two-squares set, checked by enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,11 +72,29 @@ def test_floor_ceil_examples():
 
 def test_floor_ceil_bracket_property():
     rng = np.random.default_rng(1)
-    # 5e8 + 0.5 lies above the exact-scan limit, where a nearby member is used
-    for x in [*rng.uniform(0, 500, 200), 5e8 + 0.5]:
+    for x in rng.uniform(0, 500, 200):
         lo, hi = floor_norm_set(x), ceil_norm_set(x)
         assert lo <= x <= hi
         assert in_norm_set(lo) and in_norm_set(hi)
+
+
+def is_two_squares_brute(n):
+    a = np.arange(math.isqrt(n) + 1, dtype=np.int64)
+    rest = n - a * a
+    b = np.round(np.sqrt(rest)).astype(np.int64)
+    return bool((b * b == rest).any())
+
+
+def test_floor_ceil_extremal_above_1e7():
+    """Up to the 5e8 that the designer's correlation clamp produces, floor is
+    the largest member <= x and ceil the smallest >= x: every integer strictly
+    between them is outside the set, by a scan independent of in_norm_set."""
+    rng = np.random.default_rng(8)
+    for x in [*rng.uniform(1e7, 5e8, 4), 5e8 + 0.5, 5e8]:
+        lo, hi = floor_norm_set(x), ceil_norm_set(x)
+        assert lo <= x <= hi
+        assert is_two_squares_brute(lo) and is_two_squares_brute(hi)
+        assert not any(is_two_squares_brute(n) for n in range(lo + 1, hi))
 
 
 def test_two_square_decomp_canonical():

@@ -310,3 +310,13 @@ def test_run_trial_matches_run_experiment():
     for r in records:
         if r.trial == 1:
             assert by_key[(r.scheme, r.snr_db)].sum_rate_bits == r.sum_rate_bits
+
+
+def test_cli_singular_dpc_point_is_a_nan_record(tmp_path, capsys):
+    """At 300 dB one of these K = 4 channels makes the capacity's Z singular in
+    floating point: its dpc record is NaN with one warning line, and the run
+    exits 0 instead of aborting."""
+    args = ["--k", "4", "--m", "8", "--trials", "20", "--snr-db", "300"]
+    assert main(args + ["--schemes", "zf,dpc", "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert len(lines) == 1 and lines[0].startswith("warning: dpc infeasible")

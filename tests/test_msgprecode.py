@@ -1,5 +1,7 @@
 """Finite-field message layer: invertibility, pre-inversion, exact round trips."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,29 @@ def test_field_validation():
         ModPField(2)
 
 
+def test_field_rejects_p_whose_square_overflows_int64_at_once():
+    """2^61 - 1 is prime and 3 mod 4, but its products overflow int64; it is
+    rejected before the trial-division primality test, which would not end."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        ModPField(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert ModPField(3_037_000_427).p == 3_037_000_427  # the largest accepted p
+
+
+def test_round_trip_exact_for_large_p():
+    """p = 2^31 - 1 at K = 3: a sum of K products below p^2 would overflow
+    int64 unless each product is reduced first."""
+    field = ModPField(2**31 - 1)
+    rng = np.random.default_rng(6)
+    for k in (1, 3, 5):
+        a = random_invertible(field, k, rng)
+        w = MessageMatrix.random(field, k, 16, rng)
+        wp = precode_messages(w, a)
+        for i in range(k):
+            assert recover_message(i, wp, a) == w.row(i)
+
+
 def test_modp_invertible_examples():
     f7 = ModPField(7)
     assert modp_invertible(IntegerCoeffMatrix.identity(2), f7)
@@ -59,15 +84,18 @@ def test_modp_inverse_hand_example():
 
 
 def test_modp_inverse_multiply_back():
-    field = ModPField(11)
+    """The inverse is unique, so A Atilde = I mod p pins it, for K = 1 to 8."""
     rng = np.random.default_rng(0)
-    for _ in range(25):
-        a = random_invertible(field, 3, rng)
-        atilde = modp_inverse(a, field)
-        prod_re = (a.re % 11 @ atilde.re - a.im % 11 @ atilde.im) % 11
-        prod_im = (a.re % 11 @ atilde.im + a.im % 11 @ atilde.re) % 11
-        assert np.array_equal(prod_re, np.eye(3, dtype=np.int64))
-        assert np.array_equal(prod_im, np.zeros((3, 3), dtype=np.int64))
+    for p in (11, 251):
+        field = ModPField(p)
+        for k in range(1, 9):
+            for _ in range(5):
+                a = random_invertible(field, k, rng)
+                atilde = modp_inverse(a, field)
+                prod_re = (a.re % p @ atilde.re - a.im % p @ atilde.im) % p
+                prod_im = (a.re % p @ atilde.im + a.im % p @ atilde.re) % p
+                assert np.array_equal(prod_re, np.eye(k, dtype=np.int64))
+                assert np.array_equal(prod_im, np.zeros((k, k), dtype=np.int64))
 
 
 def test_modp_inverse_not_invertible_raises():

@@ -1,6 +1,7 @@
 """Rate formulas: dual-form identities, grid oracles, capacity solver checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,19 @@ def test_dpc_edge_channels():
     extreme = dpc_capacities(ChannelMatrix(h, 10.0 ** np.arange(10.0, 16.0)))
     assert np.isfinite(extreme[:2]).all()
     assert (np.isfinite(extreme) | np.isnan(extreme)).all()
+
+
+def test_dpc_singular_z_is_nan_and_spares_the_stack():
+    """A rank-one channel at 200 dB makes Z singular in floating point, which
+    used to make the stacked solve raise; that point is NaN, and the 100 dB
+    point of the same stack keeps its single-SNR value bit for bit."""
+    h = np.ones((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        capacity = dpc_capacities(ChannelMatrix(h, np.array([1e10, 1e20])))
+    assert math.isnan(capacity[1])
+    assert capacity[0] == dpc_sum_capacity(ChannelMatrix(h, 1e10))
+    assert abs(capacity[0] - math.log2(1.0 + 3e10)) <= 1e-9
 
 
 def test_dpc_monotone_in_snr():
