@@ -2,7 +2,8 @@
 
 SNR values are given in dB (converted to linear power ratios internally);
 everything else mirrors the library defaults.  A config file with
-`key = value` lines can preset any flag; explicit flags win.
+`key = value` lines can preset any flag but --config; explicit flags win,
+and a key that names no flag is an error.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schemes", help=f"comma subset of {','.join(ALL_SCHEMES)}")
     parser.add_argument("--restarts", type=int, help="random restarts for the k > 2 search (default 8)")
     parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    parser.add_argument("--jobs", type=int, help="worker processes (default 1)")
     parser.add_argument(
         "--gap-curve",
         type=int,
@@ -84,9 +85,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
         file_values = load_config_file(args.config) if args.config else {}
+        unknown = [key for key in file_values if key == "config" or key not in vars(args)]
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
 
         def pick(name: str, cast, default):
             cli_value = getattr(args, name)
@@ -96,6 +98,9 @@ def main(argv=None) -> int:
                 return cast(file_values[name])
             return default
 
+        jobs = pick("jobs", int, 1)
+        if jobs < 1:
+            raise ValueError("--jobs must be at least 1")
         out_dir = Path(pick("out", str, "."))
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -138,7 +143,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    records, aggregate = run_experiment(cfg, jobs=args.jobs)
+    records, aggregate = run_experiment(cfg, jobs=jobs)
     write_trials_csv(out_dir / "trials.csv", records)
     write_aggregate_csv(out_dir / "aggregate.csv", aggregate)
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'aggregate.csv'}")

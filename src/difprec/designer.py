@@ -11,14 +11,15 @@ the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
 the diagonal follows from a two-parameter minimization solved analytically
 (optimal_d0_2user).  For more users, design_dif_generalk searches the
 diagonal with a derivative-free coordinate method, letting lattice reduction
-choose A for each candidate diagonal.
+choose A for each candidate diagonal; its starts step together as a stack of
+rows, every probe scored by one rates.comp_rates call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +30,16 @@ from .gaussint import (
     floor_norm_set,
     two_square_decomp,
 )
-from .rates import ChannelMatrix, DiagonalScale, RateReport, _norm_sq, if_rates, log2_pos
-from .reduction import _sorted_reduction, shortest_independent_columns
+from .rates import (
+    ChannelMatrix,
+    DiagonalScale,
+    RateReport,
+    _norm_sq,
+    comp_rates,
+    if_rates,
+    log2_pos,
+)
+from .reduction import _sorted_reduction
 
 # Numerically rank-deficient channels get their correlation clamped here so
 # the u = rho/sqrt(1-rho^2) change of variables stays finite.
@@ -334,22 +343,29 @@ def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
     return float(asymptotic_gaps(rho, real_constraint))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float):
+def _golden_max(f, x: np.ndarray, i: int, half_width: float, tol: float):
+    """Golden-section maximum of f along coordinate i of every row of x, over
+    [x_i - half_width, x_i + half_width].  f scores a stack of rows at once;
+    every row has the same interval width, so all take the same probes.
+    Returns the maximizing coordinates and their scores, one per row."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    x = x.copy()
+    a, b = x[:, i] - half_width, x[:, i] + half_width
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    x[:, i] = x1
+    f1 = f(x)
+    x[:, i] = x2
+    f2 = f(x)
+    while (b - a).max() > tol:
+        up = f1 < f2
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
+        x_kept, f_kept = np.where(up, x2, x1), np.where(up, f2, f1)
+        x_new = np.where(up, a + invphi * (b - a), b - invphi * (b - a))
+        x[:, i] = x_new
+        f_new = f(x)
+        x1, f1 = np.where(up, x_kept, x_new), np.where(up, f_kept, f_new)
+        x2, f2 = np.where(up, x_new, x_kept), np.where(up, f_new, f_kept)
+    return np.where(f1 >= f2, x1, x2), np.maximum(f1, f2)
 
 
 def design_dif_generalk(
@@ -363,102 +379,64 @@ def design_dif_generalk(
     The diagonal is parameterized as d_i = exp(beta_i + j theta_i) with
     sum(beta) = 0 and theta_1 = 0; for every candidate diagonal, lattice
     reduction of H^H M D0 picks the coefficient matrix, and the achieved sum
-    rate is the search objective.  Coordinate-wise golden-section sweeps run
-    from a deterministic start at D0 = I plus `restarts` random starts (each
-    keyed by (seed, restart index)); for K = 2 the closed-form design is also
-    entered as a candidate, so the search never loses to it.
+    rate is the search objective.  The starts are D0 = I, `restarts` random
+    diagonals (each keyed by (seed, restart index)) and, for K = 2, the
+    closed-form diagonal.  They form a stack of rows that step through
+    coordinate-wise golden-section sweeps together, every probe of every row
+    scored by one comp_rates call; a row leaves the stack once a sweep
+    improves it by less than 1e-6 bits, or after 30 sweeps.  The design is
+    the best diagonal scored, with its coefficient matrix.  For K = 2 the
+    closed-form design is also a candidate, so the search never loses to it.
     """
     k = h.k
     if k < 2:
         raise ValueError("search-based design needs at least two users")
     scheme = "rdif" if regularized else "dif"
     b = h.h.conj().T @ h.inv_gram(regularized)
-    snr = h.snr
-    n_free = 2 * (k - 1)
-    m = h.m
-    b_cols = [list(map(complex, b[:, j])) for j in range(k)]
-    h_rows = [list(map(complex, h.h[i])) for i in range(k)]
+    hb = h.h @ b
+    best = {"rate": -math.inf}
 
-    def d0_from(x: np.ndarray) -> np.ndarray:
-        beta = np.empty(k)
-        beta[: k - 1] = x[: k - 1]
-        beta[k - 1] = -x[: k - 1].sum()
-        theta = np.zeros(k)
-        theta[1:] = x[k - 1 :]
-        return np.exp(beta + 1j * theta)
+    def sum_rates(x: np.ndarray) -> np.ndarray:
+        beta = np.c_[x[:, : k - 1], -x[:, : k - 1].sum(axis=1)]
+        d = np.exp(beta + 1j * np.c_[np.zeros(len(x)), x[:, k - 1 :]])
+        g0_cols = (b * d[:, None, :]).transpose(0, 2, 1).tolist()
+        reduced = [_sorted_reduction(cols) for cols in g0_cols]
+        u = np.array([ucols for _, ucols, _ in reduced]).transpose(0, 2, 1, 3)
+        a = u[..., 0] + 1j * u[..., 1]
+        # H T0 / ||T0||_F with T0 = B D0 A, from the reduced column norms
+        scale = np.sqrt([sum(norms) for _, _, norms in reduced])
+        h_eff = (hb * d[:, None, :]) @ a / scale[:, None, None]
+        rates = comp_rates(h_eff, a, h.snr).sum(axis=1)
+        r = int(np.argmax(rates))
+        if rates[r] > best["rate"]:
+            best.update(rate=rates[r], d=d[r], a=u[r])
+        return rates
 
-    best = {"rate": -math.inf, "x": None}
-
-    def rate_of(x: np.ndarray) -> float:
-        d0 = [complex(z) for z in d0_from(x)]
-        g0_cols = [[d0[j] * v for v in b_cols[j]] for j in range(k)]
-        t0_cols, a_cols, norms = _sorted_reduction(g0_cols)
-        c_sq = 1.0 / sum(norms)
-        rate = 0.0
-        for i in range(k):
-            h_i = h_rows[i]
-            a_sq = 0.0
-            h_sq = 0.0
-            inner = 0j
-            for j in range(k):
-                a_re, a_im = a_cols[j][i]
-                a_sq += a_re * a_re + a_im * a_im
-                col = t0_cols[j]
-                s = 0j
-                for t in range(m):
-                    s += h_i[t] * col[t]
-                h_sq += s.real * s.real + s.imag * s.imag
-                inner += s * complex(a_re, -a_im)
-            h_sq *= c_sq
-            cross = c_sq * (inner.real * inner.real + inner.imag * inner.imag)
-            rate += log2_pos((1.0 + h_sq * snr) / (a_sq + (a_sq * h_sq - cross) * snr))
-        if rate > best["rate"]:
-            best["rate"] = rate
-            best["x"] = x.copy()
-        return rate
-
-    def local_search(x0: np.ndarray):
-        x = x0.copy()
-        f_cur = rate_of(x)
-        for _ in range(30):
-            f_sweep_start = f_cur
-            for i in range(n_free):
-                half_width = 1.5 if i < k - 1 else math.pi
-
-                def slice_rate(v, i=i):
-                    x_try = x.copy()
-                    x_try[i] = v
-                    return rate_of(x_try)
-
-                xi, fi = _golden_max(
-                    slice_rate, x[i] - half_width, x[i] + half_width, 1e-6
-                )
-                if fi > f_cur:
-                    x[i], f_cur = xi, fi
-            if f_cur - f_sweep_start < 1e-6:
-                break
-
-    starts = [np.zeros(n_free)]
+    starts = [np.zeros(2 * (k - 1))]
     analytic = None
     if k == 2:
         analytic = design_dif_2user(h, regularized)
-        x0 = np.zeros(n_free)
-        x0[0] = math.log(abs(analytic.d0.d[0]))
-        x0[1] = cmath.phase(analytic.d0.d[1])
-        starts.append(x0)
+        starts.append([math.log(abs(analytic.d0.d[0])), cmath.phase(analytic.d0.d[1])])
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        x0 = np.empty(n_free)
-        x0[: k - 1] = rng.uniform(-1.5, 1.5, k - 1)
-        x0[k - 1 :] = rng.uniform(0.0, 2.0 * math.pi, k - 1)
-        starts.append(x0)
+        starts.append(np.r_[rng.uniform(-1.5, 1.5, k - 1), rng.uniform(0.0, 2.0 * math.pi, k - 1)])
 
-    for x0 in starts:
-        local_search(x0)
+    x = np.array(starts, dtype=np.float64)
+    f = sum_rates(x)
+    live = np.arange(len(x))
+    for _ in range(30):
+        f_sweep_start = f[live]
+        for i in range(2 * (k - 1)):
+            xi, fi = _golden_max(sum_rates, x[live], i, 1.5 if i < k - 1 else math.pi, 1e-6)
+            x[live, i] = np.where(fi > f[live], xi, x[live, i])
+            f[live] = np.maximum(fi, f[live])
+        live = live[f[live] - f_sweep_start >= 1e-6]
+        if not live.size:
+            break
 
-    d0 = DiagonalScale(d0_from(best["x"]), c=1.0, unit_det=True)
-    a = shortest_independent_columns(b * d0.d[None, :])
-    design = build_precoder(h, a, d0, regularized, scheme=scheme)
+    a = best["a"]
+    stack = precode(h, best["d"], a[..., 0], a[..., 1], regularized)
+    design = stack.design(h, scheme, regularized, rho=rho_of_channel(h) if k == 2 else math.nan)
     if analytic is not None and analytic.rates.sum_rate > design.rates.sum_rate:
-        design = analytic
-    return replace(design, rho=rho_of_channel(h) if k == 2 else math.nan)
+        return analytic
+    return design

@@ -2,7 +2,7 @@
 
 The reducer is the complex LLL variant: size reduction rounds Gram-Schmidt
 coefficients to the nearest Gaussian integer (both components within 1/2) and
-the Lovasz test uses ||q_k||^2 >= (delta - |mu_{k,k-1}|^2) ||q_{k-1}||^2.
+the Lovasz test uses ||q_k||^2 >= (LLL_DELTA - |mu_{k,k-1}|^2) ||q_{k-1}||^2.
 The unimodular transform is tracked in exact integer arithmetic.  The
 Gram-Schmidt data is built once per reduction; a swap updates it in O(k)
 instead of rebuilding it.
@@ -22,6 +22,7 @@ import numpy as np
 from .gaussint import IntegerCoeffMatrix
 
 _MAX_SWEEPS = 100000
+LLL_DELTA = 0.99
 
 
 def _gso(cols):
@@ -52,7 +53,7 @@ def _col_norm_sq(col) -> float:
     return sum(z.real * z.real + z.imag * z.imag for z in col)
 
 
-def _clll_core(cols, ucols, delta: float) -> None:
+def _clll_core(cols, ucols) -> None:
     """In-place complex LLL on column lists; ucols holds exact (re, im) ints."""
     k = len(cols)
     m = len(cols[0])
@@ -84,7 +85,7 @@ def _clll_core(cols, ucols, delta: float) -> None:
                 for l in range(j):
                     mrow[l] -= c * muj[l]
                 mrow[j] = mj - c
-        if qnorm[kk] >= (delta - abs(mrow[kk - 1]) ** 2) * qnorm[kk - 1]:
+        if qnorm[kk] >= (LLL_DELTA - abs(mrow[kk - 1]) ** 2) * qnorm[kk - 1]:
             kk += 1
         else:
             _swap(cols, ucols, qnorm, mu, kk)
@@ -121,14 +122,14 @@ def _identity_ucols(k: int):
     return [[(1, 0) if t == j else (0, 0) for t in range(k)] for j in range(k)]
 
 
-def _sorted_reduction(g_cols, delta: float = 0.99):
+def _sorted_reduction(g_cols):
     """LLL-reduce, sort columns by image norm, fall back to identity if the
     reduction did not shorten the basis.  Returns (basis columns, U columns,
     column squared norms)."""
     k = len(g_cols)
     cols = [list(c) for c in g_cols]
     ucols = _identity_ucols(k)
-    _clll_core(cols, ucols, delta)
+    _clll_core(cols, ucols)
     norms = [_col_norm_sq(c) for c in cols]
     orig_norms = [_col_norm_sq(c) for c in g_cols]
     if sum(norms) > sum(orig_norms):
@@ -158,31 +159,27 @@ def _ucols_to_matrix(ucols) -> IntegerCoeffMatrix:
     return IntegerCoeffMatrix(re, im)
 
 
-def clll_reduce(g: np.ndarray, delta: float = 0.99):
+def clll_reduce(g: np.ndarray):
     """LLL-reduce the lattice generated by the columns of g over Z[j].
 
     Returns (reduced_basis, u) with reduced_basis = g @ u.to_complex() and u
-    unimodular.  delta must lie in (0.5, 1].
+    unimodular.
     """
-    if not 0.5 < delta <= 1.0:
-        raise ValueError("delta must lie in (0.5, 1]")
     cols = _to_cols(g)
     ucols = _identity_ucols(len(cols))
-    _clll_core(cols, ucols, delta)
+    _clll_core(cols, ucols)
     basis = np.array(cols, dtype=np.complex128).T
     return basis, _ucols_to_matrix(ucols)
 
 
-def shortest_independent_columns(g: np.ndarray, delta: float = 0.99) -> IntegerCoeffMatrix:
+def shortest_independent_columns(g: np.ndarray) -> IntegerCoeffMatrix:
     """Full-rank Gaussian-integer A whose columns give short independent images.
 
     Columns come from the LLL-reduced basis sorted by image norm (ties broken
     lexicographically on the integer entries); the identity is kept as a
     fallback so the result never loses to A = I in sum of squared image norms.
     """
-    if not 0.5 < delta <= 1.0:
-        raise ValueError("delta must lie in (0.5, 1]")
-    _, ucols, _ = _sorted_reduction(_to_cols(g), delta)
+    _, ucols, _ = _sorted_reduction(_to_cols(g))
     return _ucols_to_matrix(ucols)
 
 

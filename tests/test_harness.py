@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from difprec import harness, linalg
+from difprec import cli, harness, linalg
 from difprec.cli import load_config_file, main, parse_snr_spec
 from difprec.harness import (
     AGGREGATE_HEADER,
@@ -261,6 +261,32 @@ def test_config_file_and_cli_precedence(tmp_path):
     assert lines[0] == TRIALS_HEADER
     assert len(lines) == 1 + 2 * 2 * 2  # schemes x snrs x trials
     assert (out / "aggregate.csv").exists()
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    """A key that names no flag, such as a typo or `config` itself, is an
+    error (exit 2) instead of being dropped."""
+    for i, line in enumerate(("trails = 3", "config = other.cfg")):
+        cfg_file = tmp_path / f"bad{i}.cfg"
+        cfg_file.write_text(f"trials = 1\n{line}\n")
+        assert main(["--config", str(cfg_file), "--out", str(tmp_path / f"out{i}")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and line.split()[0] in err
+
+
+def test_config_file_sets_jobs_and_flag_wins(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_experiment(cfg, jobs):
+        seen.append(jobs)
+        return [], []
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("trials = 1\njobs = 2\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    assert main(["--config", str(cfg_file), "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert seen == [2, 1]
 
 
 def test_cli_gap_curve_and_errors(tmp_path):
