@@ -9,15 +9,17 @@ converges to the plain one as snr grows.
 For two users everything is closed form: the channel correlation rho picks
 the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
 the diagonal follows from a two-parameter minimization solved analytically
-(optimal_d0_2user).  For more users, design_dif_generalk searches the
-diagonal with a derivative-free coordinate method, letting lattice reduction
-choose A for each candidate diagonal; its starts step together as a stack of
-rows, every probe scored by one rates.comp_rates call.
+(optimal_d0_2user).  For more users, design_dif_generalk_many searches the
+diagonals of many channels with a derivative-free coordinate method, letting
+lattice reduction choose A for each candidate diagonal; the starts of all its
+designs step together as one stack of rows, reduced and scored per probe.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,7 +41,7 @@ from .rates import (
     if_rates,
     log2_pos,
 )
-from .reduction import _sorted_reduction
+from .reduction import rank_deficient, sorted_reduction
 
 # Numerically rank-deficient channels get their correlation clamped here so
 # the u = rho/sqrt(1-rho^2) change of variables stays finite.
@@ -368,75 +370,101 @@ def _golden_max(f, x: np.ndarray, i: int, half_width: float, tol: float):
     return np.where(f1 >= f2, x1, x2), np.maximum(f1, f2)
 
 
-def design_dif_generalk(
-    h: ChannelMatrix,
-    regularized: bool = False,
-    restarts: int = 8,
-    seed: int = 0,
-) -> PrecoderDesign:
-    """Search-based design for K >= 2 users.
+def design_dif_generalk_many(
+    channels: list[ChannelMatrix], seeds: list[int], regularized: bool = False, restarts: int = 8
+) -> list[PrecoderDesign | None]:
+    """Search-based designs for K >= 2 users, one per channel (at its single
+    SNR, same shape for all) with its seed; None where M is singular or
+    B = H^H M rank deficient.
 
-    The diagonal is parameterized as d_i = exp(beta_i + j theta_i) with
-    sum(beta) = 0 and theta_1 = 0; for every candidate diagonal, lattice
-    reduction of H^H M D0 picks the coefficient matrix, and the achieved sum
-    rate is the search objective.  The starts are D0 = I, `restarts` random
-    diagonals (each keyed by (seed, restart index)) and, for K = 2, the
-    closed-form diagonal.  They form a stack of rows that step through
-    coordinate-wise golden-section sweeps together, every probe of every row
-    scored by one comp_rates call; a row leaves the stack once a sweep
-    improves it by less than 1e-6 bits, or after 30 sweeps.  The design is
-    the best diagonal scored, with its coefficient matrix.  For K = 2 the
-    closed-form design is also a candidate, so the search never loses to it.
+    The diagonal is d_i = exp(beta_i + j theta_i), sum(beta) = 0, theta_1 = 0;
+    lattice reduction of B D0 picks A, and the sum rate is the objective.  A
+    design starts from D0 = I, `restarts` random diagonals keyed by (seed,
+    restart index) and, for K = 2, the closed-form diagonal.  All starts of
+    all designs are one stack of rows stepping through coordinate golden-
+    section sweeps together.  A row leaves after a sweep that gains under
+    1e-6 bits, or after 30 sweeps, so a design does not depend on the other
+    channels.  It is the best diagonal scored, with its A; for K = 2 the
+    closed-form design is also a candidate.
     """
-    k = h.k
+    n, k = len(channels), channels[0].k
     if k < 2:
         raise ValueError("search-based design needs at least two users")
-    scheme = "rdif" if regularized else "dif"
-    b = h.h.conj().T @ h.inv_gram(regularized)
-    hb = h.h @ b
-    best = {"rate": -math.inf}
+    b = np.full((n, channels[0].m, k), np.nan, dtype=np.complex128)
+    for p, ch in enumerate(channels):
+        with contextlib.suppress(linalg.SingularMatrixError):
+            b[p] = ch.h.conj().T @ ch.inv_gram(regularized)
+    feasible = np.flatnonzero(~np.isnan(b[:, 0, 0]))
+    feasible = feasible[~rank_deficient(b[feasible])].tolist()
+    designs = [None] * n
+    if not feasible:
+        return designs
+    hb = np.array([ch.h for ch in channels]) @ b
+    snr = np.array([float(ch.snr) for ch in channels])
+    analytic, starts, design_of = {}, [], []
+    for p in feasible:
+        starts.append(np.zeros(2 * (k - 1)))
+        if k == 2:
+            analytic[p] = design_dif_2user(channels[p], regularized)
+            d = analytic[p].d0.d
+            starts.append([math.log(abs(d[0])), cmath.phase(d[1])])
+        for r in range(restarts):
+            rng = np.random.default_rng([seeds[p], r])
+            starts.append(np.r_[rng.uniform(-1.5, 1.5, k - 1), rng.uniform(0.0, 2.0 * math.pi, k - 1)])
+        design_of += [p] * (len(starts) - len(design_of))
+    design_of = np.array(design_of)
+    best_rate = np.full(n, -math.inf)
+    best_d = np.zeros((n, k), dtype=np.complex128)
+    best_a = np.zeros((n, 2, k, k), dtype=np.int64)
 
-    def sum_rates(x: np.ndarray) -> np.ndarray:
-        beta = np.c_[x[:, : k - 1], -x[:, : k - 1].sum(axis=1)]
-        d = np.exp(beta + 1j * np.c_[np.zeros(len(x)), x[:, k - 1 :]])
-        g0_cols = (b * d[:, None, :]).transpose(0, 2, 1).tolist()
-        reduced = [_sorted_reduction(cols) for cols in g0_cols]
-        u = np.array([ucols for _, ucols, _ in reduced]).transpose(0, 2, 1, 3)
-        a = u[..., 0] + 1j * u[..., 1]
+    def sum_rates(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        p = design_of[rows]
+        beta = np.concatenate([x[:, : k - 1], -x[:, : k - 1].sum(axis=1, keepdims=True)], axis=1)
+        theta = np.concatenate([np.zeros((len(x), 1)), x[:, k - 1 :]], axis=1)
+        d = np.exp(beta + 1j * theta)
+        a_re, a_im, norms = sorted_reduction(b[p] * d[:, None, :])
+        a = a_re + 1j * a_im
         # H T0 / ||T0||_F with T0 = B D0 A, from the reduced column norms
-        scale = np.sqrt([sum(norms) for _, _, norms in reduced])
-        h_eff = (hb * d[:, None, :]) @ a / scale[:, None, None]
-        rates = comp_rates(h_eff, a, h.snr).sum(axis=1)
-        r = int(np.argmax(rates))
-        if rates[r] > best["rate"]:
-            best.update(rate=rates[r], d=d[r], a=u[r])
+        h_eff = (hb[p] * d[:, None, :]) @ a / np.sqrt(norms.sum(axis=1))[:, None, None]
+        rates = comp_rates(h_eff, a, snr[p][:, None]).sum(axis=1)
+        # per design, the first probe strictly better than its best wins, and
+        # within a probe its lowest row (lexsort is stable; p is sorted)
+        lead = np.lexsort((-rates, p))[np.flatnonzero(np.diff(p, prepend=-1))]
+        r = lead[rates[lead] > best_rate[p[lead]]]
+        q = p[r]
+        best_rate[q], best_d[q], best_a[q, 0], best_a[q, 1] = rates[r], d[r], a_re[r], a_im[r]
         return rates
 
-    starts = [np.zeros(2 * (k - 1))]
-    analytic = None
-    if k == 2:
-        analytic = design_dif_2user(h, regularized)
-        starts.append([math.log(abs(analytic.d0.d[0])), cmath.phase(analytic.d0.d[1])])
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        starts.append(np.r_[rng.uniform(-1.5, 1.5, k - 1), rng.uniform(0.0, 2.0 * math.pi, k - 1)])
-
     x = np.array(starts, dtype=np.float64)
-    f = sum_rates(x)
     live = np.arange(len(x))
+    f = sum_rates(x, live)
     for _ in range(30):
         f_sweep_start = f[live]
         for i in range(2 * (k - 1)):
-            xi, fi = _golden_max(sum_rates, x[live], i, 1.5 if i < k - 1 else math.pi, 1e-6)
+            score = functools.partial(sum_rates, rows=live)
+            xi, fi = _golden_max(score, x[live], i, 1.5 if i < k - 1 else math.pi, 1e-6)
             x[live, i] = np.where(fi > f[live], xi, x[live, i])
             f[live] = np.maximum(fi, f[live])
         live = live[f[live] - f_sweep_start >= 1e-6]
         if not live.size:
             break
 
-    a = best["a"]
-    stack = precode(h, best["d"], a[..., 0], a[..., 1], regularized)
-    design = stack.design(h, scheme, regularized, rho=rho_of_channel(h) if k == 2 else math.nan)
-    if analytic is not None and analytic.rates.sum_rate > design.rates.sum_rate:
-        return analytic
+    for p in feasible:
+        h, rho = channels[p], rho_of_channel(channels[p]) if k == 2 else math.nan
+        stack = precode(h, best_d[p], best_a[p, 0], best_a[p, 1], regularized)
+        designs[p] = stack.design(h, "rdif" if regularized else "dif", regularized, rho=rho)
+        if p in analytic and analytic[p].rates.sum_rate > designs[p].rates.sum_rate:
+            designs[p] = analytic[p]
+    return designs
+
+
+def design_dif_generalk(
+    h: ChannelMatrix, regularized: bool = False, restarts: int = 8, seed: int = 0
+) -> PrecoderDesign:
+    """Search-based design for K >= 2 users (design_dif_generalk_many of one
+    channel).  Raises linalg.SingularMatrixError if M is singular or H^H M
+    rank deficient."""
+    (design,) = design_dif_generalk_many([h], [seed], regularized, restarts)
+    if design is None:
+        raise linalg.SingularMatrixError()
     return design

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import rzf_stack, zf_stack, zfdp_rates
-from .designer import asymptotic_gaps, design_dif_generalk, dif_2user_stack, rho_of_channel
+from .designer import asymptotic_gaps, design_dif_generalk_many, dif_2user_stack, rho_of_channel
 from .linalg import SingularMatrixError
 from .rates import ChannelMatrix, dpc_capacities
 
@@ -102,10 +102,14 @@ def _infeasible_reason(scheme: str, k: int) -> str:
     return str(SingularMatrixError())
 
 
-def _scheme_sum_rates(
-    scheme: str, ch: ChannelMatrix, cfg: ExperimentConfig, trial: int, capacity: np.ndarray
-) -> np.ndarray:
-    """Sum rates of one scheme at every SNR point of ch, NaN where infeasible."""
+def _channel(cfg: ExperimentConfig, trial: int) -> ChannelMatrix:
+    """The trial's channel at every SNR point of cfg."""
+    h = draw_channel(trial_rng(cfg.seed, trial), cfg.k, cfg.m)
+    return ChannelMatrix(h, 10.0 ** (np.array(cfg.snr_db) / 10.0))
+
+
+def _scheme_sum_rates(scheme: str, ch: ChannelMatrix, capacity: np.ndarray) -> np.ndarray:
+    """Sum rates of one unsearched scheme at every SNR point of ch."""
     if scheme == "dpc":
         return capacity
     if scheme == "zf":
@@ -114,34 +118,23 @@ def _scheme_sum_rates(
         return rzf_stack(ch).rates.sum(axis=-1)
     if scheme == "zfdp":
         return zfdp_rates(ch).sum(axis=-1)
-    regularized = scheme == "rdif"
-    if ch.k == 2:
-        stack = dif_2user_stack(ch, regularized, real_constraint=scheme == "dif_real")
-        return stack.rates.sum(axis=-1)
-    if scheme == "dif_real":
-        return np.full(len(ch.snr), math.nan)
-    seed = _design_seed(cfg.seed, trial)
-    rates = []
-    for snr in ch.snr:
-        try:
-            design = design_dif_generalk(
-                ch.with_snr(snr), regularized, restarts=cfg.restarts, seed=seed
-            )
-            rates.append(design.rates.sum_rate)
-        except SingularMatrixError:
-            rates.append(math.nan)
-    return np.array(rates)
+    if ch.k != 2:
+        return np.full(len(ch.snr), math.nan)  # dif_real
+    stack = dif_2user_stack(ch, scheme == "rdif", real_constraint=scheme == "dif_real")
+    return stack.rates.sum(axis=-1)
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
+def run_trial(cfg: ExperimentConfig, trial: int, searched: dict | None = None) -> list[TrialRecord]:
     """All (snr, scheme) records for one channel realization.
 
     Each scheme runs once over all SNR points; its time is split evenly over
     its records, and the dpc records share the capacity's time too.  A scheme
-    whose inverse Gram matrix is singular gets NaN records.
+    whose inverse Gram matrix is singular gets NaN records.  `searched` maps
+    the K > 2 searches to (sum rates, ms per record); see run_trials.
     """
-    h = draw_channel(trial_rng(cfg.seed, trial), cfg.k, cfg.m)
-    ch = ChannelMatrix(h, 10.0 ** (np.array(cfg.snr_db) / 10.0))
+    if searched is None:
+        return run_trials(cfg, [trial])
+    ch = _channel(cfg, trial)
     n_snr = len(cfg.snr_db)
     start = time.perf_counter()
     capacity = dpc_capacities(ch)
@@ -149,39 +142,55 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> list[TrialRecord]:
     rho = rho_of_channel(ch) if cfg.k == 2 else math.nan
     records = []
     for scheme in cfg.schemes:
-        start = time.perf_counter()
-        try:
-            sum_rates = _scheme_sum_rates(scheme, ch, cfg, trial, capacity)
-        except SingularMatrixError:
-            sum_rates = np.full(n_snr, math.nan)
+        if scheme in searched:
+            sum_rates, wall_ms = searched[scheme]
+        else:
+            start = time.perf_counter()
+            try:
+                sum_rates = _scheme_sum_rates(scheme, ch, capacity)
+            except SingularMatrixError:
+                sum_rates = np.full(n_snr, math.nan)
+            wall_ms = (time.perf_counter() - start) * 1e3 + (dpc_ms if scheme == "dpc" else 0.0)
+            wall_ms /= n_snr
         gaps = capacity - sum_rates
-        wall_ms = (time.perf_counter() - start) * 1e3 + (dpc_ms if scheme == "dpc" else 0.0)
-        wall_ms /= n_snr
         for snr_db, sum_rate, gap in zip(cfg.snr_db, sum_rates.tolist(), gaps.tolist()):
             records.append(TrialRecord(scheme, snr_db, trial, rho, sum_rate, gap, wall_ms))
     return records
 
 
-def _run_trial_args(args) -> list[TrialRecord]:
-    return run_trial(*args)
+def run_trials(cfg: ExperimentConfig, trials) -> list[TrialRecord]:
+    """run_trial over a chunk of trials, each K > 2 search (dif, rdif) one
+    design_dif_generalk_many call, its time split over its records."""
+    searched = [{} for _ in trials]
+    for scheme in sorted({"dif", "rdif"} & set(cfg.schemes)) if cfg.k > 2 else []:
+        start = time.perf_counter()
+        channels = [_channel(cfg, t) for t in trials]
+        points = [ch.with_snr(snr) for ch in channels for snr in ch.snr]
+        seeds = [_design_seed(cfg.seed, t) for t in trials for _ in cfg.snr_db]
+        designs = design_dif_generalk_many(points, seeds, scheme == "rdif", cfg.restarts)
+        wall_ms = (time.perf_counter() - start) * 1e3 / len(designs)
+        rates = [math.nan if d is None else d.rates.sum_rate for d in designs]
+        for per_trial, row in zip(searched, np.reshape(rates, (len(trials), -1))):
+            per_trial[scheme] = (row, wall_ms)
+    return [rec for t, s in zip(trials, searched) for rec in run_trial(cfg, t, s)]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
     """Run all trials; returns (records, aggregate rows).
 
-    Records are sorted by (scheme, snr_db, trial); aggregate rows are
-    (scheme, snr_db, mean sum rate, mean gap, stderr of the gap).  The
-    scientific content depends only on cfg, not on the job count.  Each
-    scheme with NaN records gets one warning line on stderr with their count.
+    Each of `jobs` workers runs one contiguous chunk of the trials.  Records
+    are sorted by (scheme, snr_db, trial); aggregate rows are (scheme, snr_db,
+    mean sum rate, mean gap, stderr of the gap).  The scientific content
+    depends only on cfg, not on the job count.  Each scheme with NaN records
+    gets one warning line on stderr with their count.
     """
-    if jobs <= 1:
-        per_trial = [run_trial(cfg, t) for t in range(cfg.trials)]
+    chunks = [c.tolist() for c in np.array_split(np.arange(cfg.trials), max(jobs, 1)) if c.size]
+    if len(chunks) == 1:
+        per_chunk = [run_trials(cfg, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(
-                pool.map(_run_trial_args, [(cfg, t) for t in range(cfg.trials)])
-            )
-    records = [rec for batch in per_trial for rec in batch]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            per_chunk = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
+    records = [rec for batch in per_chunk for rec in batch]
     records.sort(key=lambda r: (r.scheme, r.snr_db, r.trial))
     groups: dict[tuple[str, float], list[TrialRecord]] = {}
     for r in records:

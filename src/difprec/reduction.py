@@ -1,21 +1,20 @@
-"""Gaussian-integer lattice reduction on complex column generators.
+"""Gaussian-integer lattice reduction of stacks of complex column generators.
 
-The reducer is the complex LLL variant: size reduction rounds Gram-Schmidt
-coefficients to the nearest Gaussian integer (both components within 1/2) and
-the Lovasz test uses ||q_k||^2 >= (LLL_DELTA - |mu_{k,k-1}|^2) ||q_{k-1}||^2.
-The unimodular transform is tracked in exact integer arithmetic.  The
-Gram-Schmidt data is built once per reduction; a swap updates it in O(k)
-instead of rebuilding it.
-
-The coefficient matrix for precoding comes out of shortest_independent_columns:
-the reduced basis columns, sorted by image norm, approximate the K shortest
-independent lattice vectors.  The working core operates on plain Python
-complex scalars; matrices here are at most 8 x 8 and this is the innermost
-loop of the diagonal search, where numpy call overhead dominates actual
-arithmetic.
+Complex LLL: size reduction rounds Gram-Schmidt coefficients to the nearest
+Gaussian integer and the Lovasz test is ||q_k||^2 >= (LLL_DELTA -
+|mu_{k,k-1}|^2) ||q_{k-1}||^2.  A generator stack (N, M, K) holds N lattices,
+each spanned by the columns of an M x K matrix.  One batched QR gives every
+member's Gram-Schmidt data, ||q_j||^2 = |r_jj|^2 and mu_{i,j} = r_ji / r_jj.
+The index loop then runs member by member on Python scalars (K <= 8, where
+numpy call overhead would dominate) and updates mu, the norms and the exact
+integer transform U, never the basis: the reduced columns are g @ U.
+sorted_reduction sorts them by image norm, which approximates the K shortest
+independent lattice vectors.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -25,42 +24,35 @@ _MAX_SWEEPS = 100000
 LLL_DELTA = 0.99
 
 
-def _gso(cols):
-    """Squared Gram-Schmidt norms and mu coefficients of complex column lists."""
-    k = len(cols)
-    m = len(cols[0])
-    q = []
-    qnorm = [0.0] * k
-    mu = [[0j] * k for _ in range(k)]
-    for i in range(k):
-        v = list(cols[i])
-        ci = cols[i]
-        for j in range(i):
-            qj = q[j]
-            s = 0j
-            for t in range(m):
-                s += qj[t].conjugate() * ci[t]
-            mij = s / qnorm[j]
-            mu[i][j] = mij
-            for t in range(m):
-                v[t] -= mij * qj[t]
-        q.append(v)
-        qnorm[i] = sum(z.real * z.real + z.imag * z.imag for z in v)
-    return qnorm, mu
+def _col_norm_sq(g: np.ndarray) -> np.ndarray:
+    """Squared column norms (..., K) of a (..., M, K) stack, each summed along
+    a contiguous axis, so that it does not depend on the rest of the stack."""
+    v = np.ascontiguousarray(np.swapaxes(g, -2, -1))
+    return (v.real**2 + v.imag**2).sum(axis=-1)
 
 
-def _col_norm_sq(col) -> float:
-    return sum(z.real * z.real + z.imag * z.imag for z in col)
+def _gram_schmidt(g: np.ndarray):
+    """R of a batched QR of an (N, M, K) stack, the squared Gram-Schmidt norms
+    |r_jj|^2 and the rank-deficient members: a squared Gram-Schmidt norm at
+    most 1e-24 times the largest squared column norm."""
+    r = np.linalg.qr(g, mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    qnorm = diag.real**2 + diag.imag**2
+    return r, qnorm, qnorm.min(axis=-1) <= 1e-24 * _col_norm_sq(g).max(axis=-1)
 
 
-def _clll_core(cols, ucols) -> None:
-    """In-place complex LLL on column lists; ucols holds exact (re, im) ints."""
-    k = len(cols)
-    m = len(cols[0])
-    qnorm, mu = _gso(cols)
-    scale = max(_col_norm_sq(c) for c in cols)
-    if min(qnorm) <= 1e-24 * scale:
-        raise ValueError("generator matrix is rank deficient")
+def rank_deficient(g: np.ndarray) -> np.ndarray:
+    """Which members (N,) of an (N, M, K) stack the reduction rejects."""
+    return _gram_schmidt(g)[2]
+
+
+def _lll_one(mu, qnorm, k: int):
+    """Complex LLL of one lattice on its Gram-Schmidt data (nested lists,
+    updated in place); returns the columns of U as (re, im) integer lists."""
+    ur = [[0] * k for _ in range(k)]
+    ui = [[0] * k for _ in range(k)]
+    for j in range(k):
+        ur[j][j] = 1
     kk = 1
     steps = 0
     while kk < k:
@@ -70,93 +62,91 @@ def _clll_core(cols, ucols) -> None:
         mrow = mu[kk]
         for j in range(kk - 1, -1, -1):
             mj = mrow[j]
+            if -0.5 <= mj.real <= 0.5 and -0.5 <= mj.imag <= 0.5:
+                continue  # rounds to 0
             cr, ci = round(mj.real), round(mj.imag)
-            if cr or ci:
-                c = complex(cr, ci)
-                colk, colj = cols[kk], cols[j]
-                for t in range(m):
-                    colk[t] -= c * colj[t]
-                uk, uj = ucols[kk], ucols[j]
-                for t in range(k):
-                    ar, ai = uk[t]
-                    br, bi = uj[t]
-                    uk[t] = (ar - cr * br + ci * bi, ai - cr * bi - ci * br)
-                muj = mu[j]
-                for l in range(j):
-                    mrow[l] -= c * muj[l]
-                mrow[j] = mj - c
+            urk, uik, urj, uij = ur[kk], ui[kk], ur[j], ui[j]
+            for t in range(k):
+                br, bi = urj[t], uij[t]
+                urk[t] -= cr * br - ci * bi
+                uik[t] -= cr * bi + ci * br
+            c = complex(cr, ci)
+            muj = mu[j]
+            for l in range(j):
+                mrow[l] -= c * muj[l]
+            mrow[j] = mj - c
         if qnorm[kk] >= (LLL_DELTA - abs(mrow[kk - 1]) ** 2) * qnorm[kk - 1]:
             kk += 1
-        else:
-            _swap(cols, ucols, qnorm, mu, kk)
-            kk = max(kk - 1, 1)
+            continue
+        # swap kk-1 and kk in O(k): the new q_{kk-1} = q_kk + m q_{kk-1}, of
+        # squared norm b (Cohen, A Course in Computational Algebraic Number
+        # Theory, 2.6.3, with the conjugate where the inner product needs it)
+        ur[kk - 1], ur[kk] = ur[kk], ur[kk - 1]
+        ui[kk - 1], ui[kk] = ui[kk], ui[kk - 1]
+        m = mrow[kk - 1]
+        q_prev = qnorm[kk - 1]
+        b = qnorm[kk] + (m.real * m.real + m.imag * m.imag) * q_prev
+        m_new = m.conjugate() * q_prev / b
+        qnorm[kk] = q_prev * qnorm[kk] / b
+        qnorm[kk - 1] = b
+        mu[kk - 1], mu[kk] = mu[kk], mu[kk - 1]
+        mu[kk - 1][kk - 1] = 0j
+        mu[kk][kk - 1] = m_new
+        for row in mu[kk + 1 :]:
+            a, c = row[kk - 1], row[kk]
+            row[kk] = a - m * c
+            row[kk - 1] = c + m_new * row[kk]
+        kk = max(kk - 1, 1)
+    return ur, ui
 
 
-def _swap(cols, ucols, qnorm, mu, kk: int) -> None:
-    """Swap columns kk-1 and kk and update the Gram-Schmidt data in O(k).
+def _lll(g: np.ndarray) -> np.ndarray:
+    """Unimodular U (N, 2, K, K), real and imaginary parts, LLL-reducing every
+    member of an (N, M, K) generator stack; raises ValueError if any member is
+    rank deficient."""
+    k = g.shape[-1]
+    r, qnorm, deficient = _gram_schmidt(g)
+    if deficient.any():
+        raise ValueError("generator matrix is rank deficient")
+    mu = np.swapaxes(r / np.diagonal(r, axis1=-2, axis2=-1)[..., :, None], -2, -1)
+    cols = [_lll_one(m, q, k) for m, q in zip(mu.tolist(), qnorm.tolist())]
+    flat = itertools.chain.from_iterable
+    u = np.fromiter(flat(flat(flat(cols))), np.int64, len(cols) * 2 * k * k)
+    return np.swapaxes(u.reshape(len(cols), 2, k, k), -2, -1)
 
-    With mu_{i,j} = <q_j, c_i> / ||q_j||^2 and m = mu_{kk,kk-1}, the new
-    q_{kk-1} is q_kk + m q_{kk-1}, of squared norm B = ||q_kk||^2 +
-    |m|^2 ||q_{kk-1}||^2; rows below kk re-express their (kk-1, kk)
-    components in the new pair (Cohen, A Course in Computational Algebraic
-    Number Theory, 2.6.3, with the conjugate where the inner product needs it).
+
+def sorted_reduction(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LLL-reduce every member of an (N, M, K) generator stack, sort its
+    columns by image norm and fall back to the identity where the reduction
+    did not shorten the basis.
+
+    Returns A (re and im, each (N, K, K) int64) and the squared norms of the
+    columns of g @ A (N, K), ascending except where the identity was kept.
+    Norm ties are broken lexicographically on the integer entries of A, real
+    parts first.  Raises ValueError if any member is rank deficient.
     """
-    cols[kk - 1], cols[kk] = cols[kk], cols[kk - 1]
-    ucols[kk - 1], ucols[kk] = ucols[kk], ucols[kk - 1]
-    m = mu[kk][kk - 1]
-    q_prev = qnorm[kk - 1]
-    b = qnorm[kk] + (m.real * m.real + m.imag * m.imag) * q_prev
-    m_new = m.conjugate() * q_prev / b
-    qnorm[kk] = q_prev * qnorm[kk] / b
-    qnorm[kk - 1] = b
-    mu[kk - 1], mu[kk] = mu[kk], mu[kk - 1]
-    mu[kk - 1][kk - 1] = 0j
-    mu[kk][kk - 1] = m_new
-    for row in mu[kk + 1:]:
-        a, c = row[kk - 1], row[kk]
-        row[kk] = a - m * c
-        row[kk - 1] = c + m_new * row[kk]
+    g = np.asarray(g, dtype=np.complex128)
+    k = g.shape[-1]
+    u = _lll(g)
+    norms = _col_norm_sq(g @ (u[:, 0] + 1j * u[:, 1]))
+    orig = _col_norm_sq(g)
+    fallback = norms.sum(axis=-1) > orig.sum(axis=-1)
+    u[fallback, 0], u[fallback, 1], norms[fallback] = np.eye(k, dtype=np.int64), 0, orig[fallback]
+    order = np.argsort(norms, axis=-1, kind="stable")
+    order[fallback] = np.arange(k)
+    sorted_norms = np.take_along_axis(norms, order, axis=-1)
+    tied = (sorted_norms[:, 1:] == sorted_norms[:, :-1]).any(axis=-1) & ~fallback
+    for n in np.flatnonzero(tied):
+        order[n] = np.lexsort((*u[n, 1][::-1], *u[n, 0][::-1], norms[n]))
+    a = np.take_along_axis(u, order[:, None, None, :], axis=-1)
+    return a[:, 0], a[:, 1], sorted_norms
 
 
-def _identity_ucols(k: int):
-    return [[(1, 0) if t == j else (0, 0) for t in range(k)] for j in range(k)]
-
-
-def _sorted_reduction(g_cols):
-    """LLL-reduce, sort columns by image norm, fall back to identity if the
-    reduction did not shorten the basis.  Returns (basis columns, U columns,
-    column squared norms)."""
-    k = len(g_cols)
-    cols = [list(c) for c in g_cols]
-    ucols = _identity_ucols(k)
-    _clll_core(cols, ucols)
-    norms = [_col_norm_sq(c) for c in cols]
-    orig_norms = [_col_norm_sq(c) for c in g_cols]
-    if sum(norms) > sum(orig_norms):
-        return [list(c) for c in g_cols], _identity_ucols(k), orig_norms
-    order = sorted(
-        range(k),
-        key=lambda i: (
-            norms[i],
-            tuple(e[0] for e in ucols[i]),
-            tuple(e[1] for e in ucols[i]),
-        ),
-    )
-    return [cols[i] for i in order], [ucols[i] for i in order], [norms[i] for i in order]
-
-
-def _to_cols(g: np.ndarray):
+def _single(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] < g.shape[1]:
         raise ValueError("generator must be M x K with K <= M")
-    return [list(map(complex, g[:, j])) for j in range(g.shape[1])]
-
-
-def _ucols_to_matrix(ucols) -> IntegerCoeffMatrix:
-    k = len(ucols)
-    re = np.array([[ucols[j][t][0] for j in range(k)] for t in range(k)], dtype=np.int64)
-    im = np.array([[ucols[j][t][1] for j in range(k)] for t in range(k)], dtype=np.int64)
-    return IntegerCoeffMatrix(re, im)
+    return g[None]
 
 
 def clll_reduce(g: np.ndarray):
@@ -165,11 +155,9 @@ def clll_reduce(g: np.ndarray):
     Returns (reduced_basis, u) with reduced_basis = g @ u.to_complex() and u
     unimodular.
     """
-    cols = _to_cols(g)
-    ucols = _identity_ucols(len(cols))
-    _clll_core(cols, ucols)
-    basis = np.array(cols, dtype=np.complex128).T
-    return basis, _ucols_to_matrix(ucols)
+    g = _single(g)
+    u = IntegerCoeffMatrix(*_lll(g)[0])
+    return g[0] @ u.to_complex(), u
 
 
 def shortest_independent_columns(g: np.ndarray) -> IntegerCoeffMatrix:
@@ -179,8 +167,8 @@ def shortest_independent_columns(g: np.ndarray) -> IntegerCoeffMatrix:
     lexicographically on the integer entries); the identity is kept as a
     fallback so the result never loses to A = I in sum of squared image norms.
     """
-    _, ucols, _ = _sorted_reduction(_to_cols(g))
-    return _ucols_to_matrix(ucols)
+    a_re, a_im, _ = sorted_reduction(_single(g))
+    return IntegerCoeffMatrix(a_re[0], a_im[0])
 
 
 def reduction_objective(g: np.ndarray, a: IntegerCoeffMatrix) -> float:

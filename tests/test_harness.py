@@ -9,6 +9,8 @@ import pytest
 
 from difprec import cli, harness, linalg
 from difprec.cli import load_config_file, main, parse_snr_spec
+from difprec.designer import design_dif_generalk
+from difprec.rates import ChannelMatrix
 from difprec.harness import (
     AGGREGATE_HEADER,
     TRIALS_HEADER,
@@ -226,6 +228,60 @@ def test_general_k_path_and_rectangular_channels():
     for r in records:
         assert math.isnan(r.rho)  # rho is a two-user statistic
         assert 0.0 <= r.sum_rate_bits <= dpc[r.trial] + 1e-6
+
+
+def test_general_k_output_does_not_depend_on_the_chunking(tmp_path):
+    """Each worker designs its chunk of trials in one search; the scientific
+    columns are those of --jobs 1, and every searched record is the sum rate
+    of a batch-of-one design of its trial."""
+    cfg = ExperimentConfig(
+        k=3, m=3, snr_db=(10.0, 25.0), trials=4, schemes=("dif", "rdif", "zf"), restarts=2, seed=6
+    )
+    texts = []
+    for jobs in (1, 2):
+        records, aggregate = run_experiment(cfg, jobs=jobs)
+        tp, ap = tmp_path / f"t{jobs}.csv", tmp_path / f"a{jobs}.csv"
+        write_trials_csv(tp, records)
+        write_aggregate_csv(ap, aggregate)
+        texts.append((strip_wall_column(tp.read_text()), ap.read_text()))
+    assert texts[0] == texts[1]
+    snr = 10.0 ** (np.array(cfg.snr_db) / 10.0)
+    for r in records:
+        if r.scheme in ("dif", "rdif"):
+            h = draw_channel(trial_rng(cfg.seed, r.trial), cfg.k, cfg.m)
+            design = design_dif_generalk(
+                ChannelMatrix(h, snr[cfg.snr_db.index(r.snr_db)]),
+                r.scheme == "rdif",
+                restarts=cfg.restarts,
+                seed=harness._design_seed(cfg.seed, r.trial),
+            )
+            assert design.rates.sum_rate == r.sum_rate_bits
+
+
+@pytest.mark.parametrize("scheme", ["dif", "rdif"])
+def test_singular_channel_spares_the_rest_of_its_chunk(monkeypatch, capfd, scheme):
+    """Trial 1 of a K = 3 chunk gets two equal rows: its plain M is singular
+    and its regularized B = H^H M rank deficient.  Only its records are NaN."""
+    cfg = ExperimentConfig(k=3, m=3, snr_db=(10.0, 30.0), trials=3, schemes=(scheme,), restarts=1, seed=2)
+    clean, _ = run_experiment(cfg)
+    h1 = draw_channel(trial_rng(cfg.seed, 1), 3, 3)
+    singular = np.vstack([h1[:2], h1[:1]])
+    monkeypatch.setattr(harness, "trial_rng", lambda seed, trial: (seed, trial))
+    monkeypatch.setattr(
+        harness,
+        "draw_channel",
+        lambda key, k, m: singular if key[1] == 1 else draw_channel(trial_rng(*key), k, m),
+    )
+    capfd.readouterr()
+    records, _ = run_experiment(cfg)
+    for r, c in zip(records, clean):
+        if r.trial == 1:
+            assert math.isnan(r.sum_rate_bits)
+        else:
+            assert r.sum_rate_bits == c.sum_rate_bits
+    assert capfd.readouterr().err.splitlines() == [
+        f"warning: {scheme} infeasible for K=3 in 2 records: matrix is singular to working precision"
+    ]
 
 
 def test_gap_curve_samples():
