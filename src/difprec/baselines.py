@@ -36,13 +36,13 @@ def _identity(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zf_stack(h: ChannelMatrix) -> PrecoderStack:
-    """Zero-forcing with water-filled power loading at every SNR point of h.
+    """Zero-forcing with water-filled power loading at every point of h.
 
     T = H^H (H H^H)^-1 D with |d_i|^2 = max(0, mu/M_ii - 1/snr) and
     sum_i M_ii |d_i|^2 = 1, so that c = 1 up to rounding; per-user rates are
     log2(1 + |d_i|^2 snr).
     """
-    m_diag = np.real(np.diag(h.inv_gram()))
+    m_diag = np.diagonal(h.inv_gram(), axis1=-2, axis2=-1).real
     # substitute p_i = M_ii |d_i|^2: water-fill with floors M_ii/snr, budget 1
     p = _waterfill(m_diag / np.asarray(h.snr)[..., None], 1.0)
     d = np.sqrt(p / m_diag).astype(np.complex128)
@@ -55,8 +55,8 @@ def design_zf(h: ChannelMatrix) -> PrecoderDesign:
 
 
 def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
-    """Regularized zero-forcing with uniform loading D = c I at every SNR
-    point of h.
+    """Regularized zero-forcing with uniform loading D = c I at every point
+    of h.
 
     Identical to the regularized integer-forcing construction restricted to
     A = I and D0 = I; per-user rates treat residual interference as noise.
@@ -70,13 +70,13 @@ def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
 
 
 def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
-    """Zero-forcing dirty-paper per-user rates (..., K) at every SNR point of h.
+    """Zero-forcing dirty-paper per-user rates (..., K) at every point of h.
 
     H = L Q with L lower triangular and Q row-orthonormal (natural user
     order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr.
     """
-    _, r = np.linalg.qr(h.h.conj().T, mode="reduced")
-    gains = np.abs(np.diag(r)) ** 2
+    _, r = np.linalg.qr(h.herm, mode="reduced")
+    gains = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) ** 2
     rates = np.log2(1.0 + gains * _waterfill(1.0 / gains, h.snr))
     _check_rates(rates)
     return rates

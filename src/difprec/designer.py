@@ -63,10 +63,10 @@ class PrecoderDesign:
 
 @dataclass(frozen=True)
 class PrecoderStack:
-    """Precoders T = c H^H M D0 A of one channel at its SNR points, as stacks.
+    """Precoders T = c H^H M D0 A at every point of a ChannelMatrix, as stacks.
 
-    Leading axes follow what each quantity depends on: the SNR axis (S,) when
-    it varies with SNR, none when it does not or the channel has a single SNR.
+    Leading axes are those of the points, (T, S) or (S,), and (T, 1) or none
+    for what does not vary with SNR (see ChannelMatrix).
     a_re, a_im: integer parts of A (..., K, K); d: diagonal of D0 (..., K);
     c: power scale (...); y = c M D0 A (..., K, K), so that T = H^H y;
     rates: per-user rates (..., K), NaN at points whose M is singular.
@@ -93,7 +93,7 @@ class PrecoderStack:
             a=IntegerCoeffMatrix(self.a_re, self.a_im),
             d0=DiagonalScale(self.d, c=c, unit_det=unit_det),
             c=c,
-            t=h.h.conj().T @ self.y,
+            t=h.herm @ self.y,
             rates=RateReport(scheme, self.rates),
             regularized=regularized,
             rho=rho,
@@ -107,7 +107,7 @@ def precode(
     a_im: np.ndarray,
     regularized: bool = False,
 ) -> PrecoderStack:
-    """T = c H^H M D0 A at every SNR point of h, with D0 = diag(d) and c
+    """T = c H^H M D0 A at every point of h, with D0 = diag(d) and c
     saturating the unit power budget.
 
     The power and the effective channel H T are taken from T itself: formed
@@ -116,11 +116,11 @@ def precode(
     above capacity.
     """
     y = h.inv_gram(regularized) @ (d[..., :, None] * (a_re + 1j * a_im))
-    t = h.h.conj().T @ y
+    t = h.herm @ y
     power = (t.conj() * t).real.sum(axis=(-2, -1))
     c = 1.0 / np.sqrt(power)
     y = c[..., None, None] * y
-    rates = if_rates(h.h @ (c[..., None, None] * t), a_re, a_im, h.snr, c * c * power)
+    rates = if_rates(h.rows @ (c[..., None, None] * t), a_re, a_im, h.snr, c * c * power)
     return PrecoderStack(a_re, a_im, d, c, y, rates)
 
 
@@ -303,10 +303,10 @@ def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> 
 def dif_2user_stack(
     h: ChannelMatrix, regularized: bool = False, real_constraint: bool = False
 ) -> PrecoderStack:
-    """Closed-form two-user designs at every SNR point of h: rho -> table
-    lookup for A -> diagonal -> T.  The plain design does not depend on SNR;
-    only its rates do.  A point whose regularized M is singular gets A = I
-    and NaN rates.
+    """Closed-form two-user designs at every point of h: rho -> table
+    lookup for A -> diagonal -> T.  The plain design does not depend on
+    SNR; only its rates do.  A point whose M is singular gets NaN rates, and
+    A = I where it is the regularized M.
     """
     if h.k != 2:
         raise ValueError("closed-form design needs a two-user channel")

@@ -2,9 +2,9 @@
 
 One channel is drawn per trial (keyed by (seed, trial), so trials parallelize
 deterministically) and shared across every SNR point and scheme: the paired
-design makes per-trial gap comparisons meaningful.  Records are normalized to
-(scheme, snr, trial) order before writing, so output does not depend on the
-number of worker processes.
+design makes per-trial gap comparisons meaningful.  Records are kept as arrays
+indexed [scheme, snr, trial] and written in that order, so output does not
+depend on the number of worker processes.
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import rzf_stack, zf_stack, zfdp_rates
-from .designer import asymptotic_gaps, design_dif_generalk_many, dif_2user_stack, rho_of_channel
+from .designer import _rho, asymptotic_gaps, design_dif_generalk_many, dif_2user_stack
 from .linalg import SingularMatrixError
 from .rates import ChannelMatrix, dpc_capacities
 
 ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
+
+# trials per stacked pass of a scheme: bounds a worker's working memory
+BLOCK_TRIALS = 256
 
 TRIALS_HEADER = "scheme,snr_db,trial,rho,sum_rate_bits,gap_bits,wall_ms"
 AGGREGATE_HEADER = "scheme,snr_db,mean_sum_rate_bits,mean_gap_bits,stderr_gap_bits"
@@ -63,8 +66,9 @@ class ExperimentConfig:
             raise ValueError("schemes must not repeat")
         if self.k == 1 and {"dif", "rdif", "dif_real"} & set(self.schemes):
             raise ValueError("dif, rdif and dif_real need at least two users")
-        if len(set(self.snr_db)) != len(self.snr_db):
-            raise ValueError("SNR values must not repeat")
+        printed = {f"{s:.12g}" for s in self.snr_db}  # as the CSVs print them
+        if not len(set(self.snr_db)) == len(printed) == len(self.snr_db):
+            raise ValueError("SNR values must not repeat, also in their 12 printed digits")
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
@@ -94,149 +98,138 @@ def _design_seed(seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([seed, trial, 0x5EED]).generate_state(1)[0])
 
 
-def _infeasible_reason(scheme: str, k: int) -> str:
-    """Why a record is NaN: dif_real is a two-user design; any other NaN
-    record comes from a singular inverse Gram matrix."""
-    if scheme == "dif_real" and k != 2:
-        return "dif_real needs exactly two users"
-    return str(SingularMatrixError())
+@dataclass(frozen=True)
+class Results:
+    """A run's records as arrays: sum_rate and gap [scheme, snr, trial], rho
+    [trial] and wall_ms [scheme, trial], each axis sorted.  Iterating yields
+    the records in that (C) order as TrialRecords."""
+
+    schemes: tuple[str, ...]
+    snr_db: tuple[float, ...]
+    trials: np.ndarray
+    rho: np.ndarray
+    sum_rate: np.ndarray
+    gap: np.ndarray
+    wall_ms: np.ndarray
+
+    def __iter__(self):
+        for i, scheme in enumerate(self.schemes):
+            for j, snr_db in enumerate(self.snr_db):
+                columns = (self.rho, self.sum_rate[i, j], self.gap[i, j], self.wall_ms[i])
+                for values in zip(self.trials.tolist(), *(c.tolist() for c in columns)):
+                    yield TrialRecord(scheme, snr_db, *values)
 
 
-def _channel(cfg: ExperimentConfig, trial: int) -> ChannelMatrix:
-    """The trial's channel at every SNR point of cfg."""
-    h = draw_channel(trial_rng(cfg.seed, trial), cfg.k, cfg.m)
-    return ChannelMatrix(h, 10.0 ** (np.array(cfg.snr_db) / 10.0))
+# per-user rates of each scheme that runs on a stack of channels, at every point
+_STACKED_RATES = {
+    "zf": lambda ch: zf_stack(ch).rates,
+    "rzf": lambda ch: rzf_stack(ch).rates,
+    "zfdp": zfdp_rates,
+    "dif": lambda ch: dif_2user_stack(ch).rates,
+    "rdif": lambda ch: dif_2user_stack(ch, regularized=True).rates,
+    "dif_real": lambda ch: dif_2user_stack(ch, real_constraint=True).rates,
+}
 
 
-def _scheme_sum_rates(scheme: str, ch: ChannelMatrix, capacity: np.ndarray) -> np.ndarray:
-    """Sum rates of one unsearched scheme at every SNR point of ch."""
-    if scheme == "dpc":
-        return capacity
-    if scheme == "zf":
-        return zf_stack(ch).rates.sum(axis=-1)
-    if scheme == "rzf":
-        return rzf_stack(ch).rates.sum(axis=-1)
-    if scheme == "zfdp":
-        return zfdp_rates(ch).sum(axis=-1)
-    if ch.k != 2:
-        return np.full(len(ch.snr), math.nan)  # dif_real
-    stack = dif_2user_stack(ch, scheme == "rdif", real_constraint=scheme == "dif_real")
-    return stack.rates.sum(axis=-1)
-
-
-def run_trial(cfg: ExperimentConfig, trial: int, searched: dict | None = None) -> list[TrialRecord]:
-    """All (snr, scheme) records for one channel realization.
-
-    Each scheme runs once over all SNR points; its time is split evenly over
-    its records, and the dpc records share the capacity's time too.  A scheme
-    whose inverse Gram matrix is singular gets NaN records.  `searched` maps
-    the K > 2 searches to (sum rates, ms per record); see run_trials.
-    """
-    if searched is None:
-        return run_trials(cfg, [trial])
-    ch = _channel(cfg, trial)
-    n_snr = len(cfg.snr_db)
-    start = time.perf_counter()
-    capacity = dpc_capacities(ch)
-    dpc_ms = (time.perf_counter() - start) * 1e3
-    rho = rho_of_channel(ch) if cfg.k == 2 else math.nan
-    records = []
-    for scheme in cfg.schemes:
-        if scheme in searched:
-            sum_rates, wall_ms = searched[scheme]
-        else:
-            start = time.perf_counter()
-            try:
-                sum_rates = _scheme_sum_rates(scheme, ch, capacity)
-            except SingularMatrixError:
-                sum_rates = np.full(n_snr, math.nan)
-            wall_ms = (time.perf_counter() - start) * 1e3 + (dpc_ms if scheme == "dpc" else 0.0)
-            wall_ms /= n_snr
-        gaps = capacity - sum_rates
-        for snr_db, sum_rate, gap in zip(cfg.snr_db, sum_rates.tolist(), gaps.tolist()):
-            records.append(TrialRecord(scheme, snr_db, trial, rho, sum_rate, gap, wall_ms))
-    return records
-
-
-def run_trials(cfg: ExperimentConfig, trials) -> list[TrialRecord]:
-    """run_trial over a chunk of trials, each K > 2 search (dif, rdif) one
-    design_dif_generalk_many call, its time split over its records."""
-    searched = [{} for _ in trials]
-    for scheme in sorted({"dif", "rdif"} & set(cfg.schemes)) if cfg.k > 2 else []:
+def run_trials(cfg: ExperimentConfig, trials) -> Results:
+    """The records of a chunk of trials.  Each scheme runs once per block of
+    BLOCK_TRIALS stacked channels, over all SNR points; for K > 2 each search
+    (dif, rdif) is one design_dif_generalk_many call over the chunk.  A
+    scheme's time on the chunk, the capacity's for dpc, is split evenly over
+    its records."""
+    schemes, snr_db = tuple(sorted(cfg.schemes)), tuple(sorted(cfg.snr_db))
+    snr = 10.0 ** (np.array(snr_db) / 10.0)
+    h = np.array([draw_channel(trial_rng(cfg.seed, t), cfg.k, cfg.m) for t in trials])
+    capacity = np.empty((len(snr), len(h)))
+    rates = np.full((len(schemes),) + capacity.shape, math.nan)
+    rho = np.full(len(h), math.nan)
+    seconds = dict.fromkeys(ALL_SCHEMES, 0.0)
+    # for K != 2, dif and rdif are searched below and dif_real stays NaN
+    stacked = [s for s in cfg.schemes if s in _STACKED_RATES and (cfg.k == 2 or "dif" not in s)]
+    for lo in range(0, len(h), BLOCK_TRIALS):
+        block = slice(lo, lo + BLOCK_TRIALS)
+        ch = ChannelMatrix(h[block], snr)
         start = time.perf_counter()
-        channels = [_channel(cfg, t) for t in trials]
-        points = [ch.with_snr(snr) for ch in channels for snr in ch.snr]
-        seeds = [_design_seed(cfg.seed, t) for t in trials for _ in cfg.snr_db]
+        capacity[:, block] = dpc_capacities(ch).T
+        seconds["dpc"] += time.perf_counter() - start
+        if cfg.k == 2:
+            rho[block] = _rho(ch.gram)[:, 0]
+        for scheme in stacked:
+            start = time.perf_counter()
+            rates[schemes.index(scheme), :, block] = _STACKED_RATES[scheme](ch).sum(axis=-1).T
+            seconds[scheme] += time.perf_counter() - start
+    for scheme in sorted({"dif", "rdif"} & set(schemes)) if cfg.k > 2 else []:
+        start = time.perf_counter()
+        points = [ChannelMatrix(h_t, s) for h_t in h for s in snr]
+        seeds = [_design_seed(cfg.seed, t) for t in trials for _ in snr]
         designs = design_dif_generalk_many(points, seeds, scheme == "rdif", cfg.restarts)
-        wall_ms = (time.perf_counter() - start) * 1e3 / len(designs)
-        rates = [math.nan if d is None else d.rates.sum_rate for d in designs]
-        for per_trial, row in zip(searched, np.reshape(rates, (len(trials), -1))):
-            per_trial[scheme] = (row, wall_ms)
-    return [rec for t, s in zip(trials, searched) for rec in run_trial(cfg, t, s)]
+        sums = [math.nan if d is None else d.rates.sum_rate for d in designs]
+        rates[schemes.index(scheme)] = np.reshape(sums, (len(h), len(snr))).T
+        seconds[scheme] += time.perf_counter() - start
+    if "dpc" in schemes:
+        rates[schemes.index("dpc")] = capacity
+    wall_ms = np.array([[seconds[s] * 1e3 / capacity.size] * len(h) for s in schemes])
+    return Results(schemes, snr_db, np.array(trials), rho, rates, capacity - rates, wall_ms)
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
-    """Run all trials; returns (records, aggregate rows).
+def run_trial(cfg: ExperimentConfig, trial: int) -> Results:
+    """All (scheme, snr) records of one trial: its chunk of one."""
+    return run_trials(cfg, [trial])
 
-    Each of `jobs` workers runs one contiguous chunk of the trials.  Records
-    are sorted by (scheme, snr_db, trial); aggregate rows are (scheme, snr_db,
-    mean sum rate, mean gap, stderr of the gap).  The scientific content
-    depends only on cfg, not on the job count.  Each scheme with NaN records
-    gets one warning line on stderr with their count.
+
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[Results, list[tuple]]:
+    """Run all trials; returns (results, aggregate rows).
+
+    Each of `jobs` workers runs one contiguous chunk of the trials, joined
+    along the trial axis.  Aggregate rows are (scheme, snr_db, mean sum rate,
+    mean gap, stderr of the gap) over the trial axis, in sorted scheme and
+    configured SNR order.  The scientific content depends only on cfg.  Each
+    scheme with NaN records gets one warning line on stderr with their count.
     """
     chunks = [c.tolist() for c in np.array_split(np.arange(cfg.trials), max(jobs, 1)) if c.size]
     if len(chunks) == 1:
-        per_chunk = [run_trials(cfg, chunks[0])]
+        parts = [run_trials(cfg, chunks[0])]
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            per_chunk = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
-    records = [rec for batch in per_chunk for rec in batch]
-    records.sort(key=lambda r: (r.scheme, r.snr_db, r.trial))
-    groups: dict[tuple[str, float], list[TrialRecord]] = {}
-    for r in records:
-        groups.setdefault((r.scheme, r.snr_db), []).append(r)
-    aggregate = []
-    infeasible = dict.fromkeys(cfg.schemes, 0)
-    for scheme in sorted(cfg.schemes):
-        for snr_db in cfg.snr_db:
-            rows = groups[(scheme, snr_db)]
-            sums = np.array([r.sum_rate_bits for r in rows])
-            gaps = np.array([r.gap_bits for r in rows])
-            stderr = float(gaps.std(ddof=1) / math.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
-            aggregate.append(
-                (scheme, snr_db, float(sums.mean()), float(gaps.mean()), stderr)
-            )
-            infeasible[scheme] += int(np.count_nonzero(np.isnan(sums)))
-    for scheme, n in infeasible.items():
-        if n:
-            reason = _infeasible_reason(scheme, cfg.k)
+            parts = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
+    columns = ("trials", "rho", "sum_rate", "gap", "wall_ms")
+    joined = (np.concatenate([getattr(p, c) for p in parts], axis=-1) for c in columns)
+    res = Results(parts[0].schemes, parts[0].snr_db, *joined)
+    means, mean_gaps = res.sum_rate.mean(axis=-1), res.gap.mean(axis=-1)
+    n = cfg.trials
+    stderr = res.gap.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean_gaps)
+    aggregate = [
+        (scheme, snr_db, float(means[i, j]), float(mean_gaps[i, j]), float(stderr[i, j]))
+        for i, scheme in enumerate(res.schemes)
+        for snr_db, j in zip(cfg.snr_db, map(res.snr_db.index, cfg.snr_db))
+    ]
+    for scheme in cfg.schemes:
+        if n_nan := int(np.isnan(res.sum_rate[res.schemes.index(scheme)]).sum()):
+            wrong_k = scheme == "dif_real" and cfg.k != 2
+            reason = "dif_real needs exactly two users" if wrong_k else SingularMatrixError()
             print(
-                f"warning: {scheme} infeasible for K={cfg.k} in {n} records: {reason}",
+                f"warning: {scheme} infeasible for K={cfg.k} in {n_nan} records: {reason}",
                 file=sys.stderr,
             )
-    return records, aggregate
+    return res, aggregate
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def write_trials_csv(path, records) -> None:
+def write_trials_csv(path, results: Results) -> None:
+    """trials.csv from the arrays of results, in their C order.  Each float
+    is formatted once, as %.12g (the bytes of f"{x:.12g}")."""
     lines = [TRIALS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.scheme},{_fmt(r.snr_db)},{r.trial},{_fmt(r.rho)},"
-            f"{_fmt(r.sum_rate_bits)},{_fmt(r.gap_bits)},{_fmt(r.wall_ms)}"
-        )
+    trial_rho = [f"{t},{r:.12g}" for t, r in zip(results.trials.tolist(), results.rho.tolist())]
+    for i, scheme in enumerate(results.schemes):
+        walls = [f"{w:.12g}" for w in results.wall_ms[i].tolist()]
+        for j, snr_db in enumerate(results.snr_db):
+            sums, gaps = results.sum_rate[i, j].tolist(), results.gap[i, j].tolist()
+            line = f"{scheme},{snr_db:.12g},%s,%.12g,%.12g,%s".__mod__
+            lines += map(line, zip(trial_rho, sums, gaps, walls))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_aggregate_csv(path, aggregate) -> None:
-    lines = [AGGREGATE_HEADER]
-    for scheme, snr_db, mean_sum, mean_gap, stderr in aggregate:
-        lines.append(
-            f"{scheme},{_fmt(snr_db)},{_fmt(mean_sum)},{_fmt(mean_gap)},{_fmt(stderr)}"
-        )
+    lines = [AGGREGATE_HEADER] + ["%s,%.12g,%.12g,%.12g,%.12g" % row for row in aggregate]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -35,9 +35,9 @@ def cmatrix(entries) -> CMatrix:
     return m
 
 
-def gram(m: CMatrix) -> CMatrix:
-    """m times its conjugate transpose."""
-    return m @ np.conj(m.T)
+def gram(m: np.ndarray) -> np.ndarray:
+    """m times its conjugate transpose, for a matrix or each member of a stack."""
+    return m @ m.swapaxes(-1, -2).conj()
 
 
 def frob_norm_sq(m: CMatrix) -> float:

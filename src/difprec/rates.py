@@ -33,19 +33,24 @@ def log2_pos(x: float) -> float:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """K x M complex downlink channel with its operating SNR (linear).
+    """K x M complex downlink channel, or a (T, K, M) stack of them, with its
+    operating SNR (linear): one value or a 1-D array of S of them.
 
-    snr is one value or a 1-D array of them: a channel at S SNR points, which
-    every two-user formula evaluates as one set of operations on stacks, with
-    the SNR axis leading.  Most functions take a single SNR.
+    Two-user formulas evaluate all points (channel, SNR) as stacks with
+    leading axes (T, S), or (S,), and (T, 1) for what does not vary with SNR:
+    rows is H so shaped and herm its H^H.  Most others take a single point.
     """
 
     h: np.ndarray
     snr: float | np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    herm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = linalg.cmatrix(self.h)
-        if h.shape[0] > h.shape[1]:
+        h = np.array(self.h, dtype=np.complex128)
+        if h.ndim not in (2, 3) or not np.isfinite(h.view(np.float64)).all():
+            raise ValueError("channel must be a finite K x M matrix or a stack of them")
+        if h.shape[-2] > h.shape[-1]:
             raise ValueError("need at least as many transmit antennas as users")
         if np.ndim(self.snr):
             snr = np.array(self.snr, dtype=np.float64)
@@ -58,22 +63,21 @@ class ChannelMatrix:
             raise ValueError("snr must be positive and finite")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "snr", snr)
+        object.__setattr__(self, "rows", h[:, None] if h.ndim == 3 else h)
+        object.__setattr__(self, "herm", self.rows.swapaxes(-1, -2).conj())
 
     @property
     def k(self) -> int:
-        return self.h.shape[0]
+        return self.h.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.h.shape[1]
-
-    def with_snr(self, snr: float) -> "ChannelMatrix":
-        return ChannelMatrix(self.h, snr)
+        return self.h.shape[-1]
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = H H^H, built once per channel; read-only because it is shared."""
-        g = linalg.gram(self.h)
+        """G = H H^H, shaped like rows, built once; read-only because it is shared."""
+        g = linalg.gram(self.rows)
         g.setflags(write=False)
         return g
 
@@ -81,10 +85,10 @@ class ChannelMatrix:
         """M = G^-1, or (K/snr I + G)^-1 when regularized, inverted at most once
         per flag and shared (read-only) by every precoder built on this channel.
 
-        The plain M and the regularized M at a single SNR are K x K and raise
-        linalg.SingularMatrixError when singular.  At S SNR points the
-        regularized M is an (S, K, K) stack built by one inverse, whose
-        singular members are NaN.
+        The plain M is shaped like G; the regularized M at S SNR points is an
+        (S, K, K) or (T, S, K, K) stack, built by one inverse.  A single K x K
+        M raises linalg.SingularMatrixError when singular; the singular
+        members of a stack are NaN.
         """
         cache = self.__dict__.setdefault("_inverse_grams", {})
         if regularized not in cache:
@@ -248,7 +252,7 @@ def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = 
 
 
 def dpc_capacities(h: ChannelMatrix) -> np.ndarray:
-    """Broadcast sum capacity at every SNR point of h (shaped like h.snr):
+    """Broadcast sum capacity at every point of h, (T, S) or shaped like h.snr:
     sup over diagonal Q, trace <= 1, of log2 det(I + snr H^H Q H).
 
     K = 2 is closed form: the trace constraint is active and
@@ -262,12 +266,12 @@ def dpc_capacities(h: ChannelMatrix) -> np.ndarray:
         return _dpc_pairwise(h)[0]
     g = h.gram
     snr = h.snr
-    g11, g22, cross = g[0, 0].real, g[1, 1].real, abs(g[0, 1]) ** 2
+    # [()] makes the 0-d arrays of a single channel numpy scalars, whose arithmetic is faster
+    g11, g22, g12 = g[..., 0, 0].real[()], g[..., 1, 1].real[()], g[..., 0, 1][()]
+    cross = np.hypot(g12.real, g12.imag) ** 2
     det_g = g11 * g22 - cross
-    if det_g > 0:
-        q = np.minimum(np.maximum(0.5 + (g11 - g22) / (2.0 * snr * det_g), 0.0), 1.0)
-    else:
-        q = np.zeros_like(snr) + float(g11 >= g22)
+    vertex = 0.5 + (g11 - g22) / (2.0 * snr * np.where(det_g > 0, det_g, 1.0))
+    q = np.where(det_g > 0, np.minimum(np.maximum(vertex, 0.0), 1.0), g11 >= g22)[()]
     return np.log2(
         (1.0 + snr * q * g11) * (1.0 + snr * (1.0 - q) * g22)
         - snr * snr * q * (1.0 - q) * cross
@@ -280,7 +284,7 @@ def dpc_sum_capacity(h: ChannelMatrix) -> float:
 
 
 def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Sum capacity at every SNR point of h, as one stack, and the dual-MAC
+    """Sum capacity at every point of h, as one stack, and the dual-MAC
     powers q (..., K) that reach it: the maximum over the simplex of
     log2 det Z, Z = I + snr H^H diag(q) H, whose ln det has the gradient
     diag(S), S = snr H Z^-1 H^H.  Each pairwise Frank-Wolfe step
@@ -294,19 +298,22 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     certified after FW_MAX_STEPS steps (rank-deficient channels far above
     100 dB), or whose Z is singular in floating point, is NaN.
     """
-    h_herm = h.h.conj().T
-    snr_all = np.reshape(h.snr, -1)
+    shape = np.broadcast_shapes(h.rows.shape[:-2], np.shape(h.snr))
+    h_all = np.broadcast_to(h.rows, shape + (h.k, h.m)).reshape(-1, h.k, h.m)
+    snr_all = np.broadcast_to(h.snr, shape).reshape(-1)
     capacity = np.full(snr_all.shape, np.nan)
     q = np.full((snr_all.size, h.k), 1.0 / h.k)
     todo = np.arange(snr_all.size)
     for _ in range(FW_MAX_STEPS):
         snr_t = snr_all[todo][:, None, None]
-        q_t = q[todo]
-        z = np.eye(h.m) + snr_t * ((h_herm * q_t[:, None, :]) @ h.h)
-        a = snr_t * (h.h @ _solve_or_nan(z, h_herm))
+        q_t, h_t = q[todo], h_all[todo]
+        h_herm = h_t.swapaxes(-1, -2).conj()
+        z = np.eye(h.m) + snr_t * ((h_herm * q_t[:, None, :]) @ h_t)
+        a = snr_t * (h_t @ _solve_or_nan(z, h_herm))
         s = a.diagonal(axis1=-2, axis2=-1).real
         done = s.max(axis=-1) - (s * q_t).sum(axis=-1) <= FW_GAP_BITS * math.log(2.0)
-        w = np.eye(h.k) + snr_t[done] * np.sqrt(q_t[done, :, None] * q_t[done, None, :]) * h.gram
+        q_pair = np.sqrt(q_t[done, :, None] * q_t[done, None, :])
+        w = np.eye(h.k) + snr_t[done] * q_pair * (h_t[done] @ h_herm[done])
         capacity[todo[done]] = np.linalg.slogdet(w)[1] / math.log(2.0)
         live = ~done & ~np.isnan(s[:, 0])
         todo, a, s, q_t = todo[live], a[live], s[live], q_t[live]
@@ -321,11 +328,11 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
         step = np.minimum(step, q_t[rows, j])
         q[todo, i] += step
         q[todo, j] -= step
-    return capacity.reshape(np.shape(h.snr)), q.reshape(np.shape(h.snr) + (h.k,))
+    return capacity.reshape(shape), q.reshape(shape + (h.k,))
 
 
 def _solve_or_nan(z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(z, b) over a stack of z, NaN for each member whose LU
+    """np.linalg.solve(z, b) over stacks of z and b, NaN for each member whose LU
     factorization meets an exact zero pivot: one such member makes a stacked
     solve raise for all of them, so the stack is then solved member by member."""
     try:
@@ -333,7 +340,7 @@ def _solve_or_nan(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         if z.ndim == 2:
             return np.full(b.shape, np.nan, dtype=np.complex128)
-        return np.stack([_solve_or_nan(z_n, b) for z_n in z])
+        return np.stack([_solve_or_nan(z_n, b_n) for z_n, b_n in zip(z, b)])
 
 
 def hi_snr_sum_capacity(h: ChannelMatrix) -> float:

@@ -66,6 +66,9 @@ def test_config_validation():
         ExperimentConfig(schemes=("zf", "zf"))
     with pytest.raises(ValueError):
         ExperimentConfig(snr_db=(10.0, 10.0))
+    # distinct values that print alike would give duplicate CSV rows
+    with pytest.raises(ValueError):
+        ExperimentConfig(snr_db=(10.0, 10.0000000000001))
     for scheme in ("dif", "rdif", "dif_real"):
         with pytest.raises(ValueError, match="at least two users"):
             ExperimentConfig(k=1, schemes=(scheme, "dpc"))
@@ -137,8 +140,8 @@ def test_one_warning_line_per_scheme_and_reason(monkeypatch, capfd, jobs):
 
 
 def test_dpc_rows_are_charged_the_capacity_time(monkeypatch):
-    """The capacity of all SNR points of a trial is one batch; its time is
-    split over that trial's dpc rows."""
+    """The capacity of all (trial, SNR) points of a chunk is one batch; its
+    time is split over the chunk's dpc rows."""
     capacities = harness.dpc_capacities
 
     def slow_capacities(ch):
@@ -148,12 +151,11 @@ def test_dpc_rows_are_charged_the_capacity_time(monkeypatch):
     monkeypatch.setattr(harness, "dpc_capacities", slow_capacities)
     cfg = ExperimentConfig(snr_db=(0.0, 10.0, 20.0), trials=2, schemes=("zf", "dpc"), seed=5)
     records, _ = run_experiment(cfg)
-    for trial in range(2):
-        dpc_rows = [r for r in records if r.scheme == "dpc" and r.trial == trial]
-        assert len(dpc_rows) == 3 and sum(r.wall_ms for r in dpc_rows) >= 5.0
+    dpc_rows = [r for r in records if r.scheme == "dpc"]
+    assert len(dpc_rows) == 6 and sum(r.wall_ms for r in dpc_rows) >= 5.0
 
 
-def _count_gram_and_inverse(monkeypatch, cfg):
+def _count_gram_and_inverse(monkeypatch, cfg, trials=(0,)):
     calls = {"gram": 0, "inverse": 0}
 
     def counted(name):
@@ -167,7 +169,7 @@ def _count_gram_and_inverse(monkeypatch, cfg):
 
     for name in calls:
         monkeypatch.setattr(linalg, name, counted(name))
-    run_trial(cfg, 0)
+    harness.run_trials(cfg, trials)
     return calls
 
 
@@ -185,6 +187,68 @@ def test_one_trial_builds_the_gram_once_for_all_snr_points(monkeypatch):
     assert len(cfg.snr_db) == 21
     calls = _count_gram_and_inverse(monkeypatch, cfg)
     assert calls["gram"] == 1 and calls["inverse"] <= 2
+
+
+def test_one_chunk_builds_the_gram_once_for_all_trials(monkeypatch):
+    """A worker's chunk of trials is one stack of channels: one G, one plain M
+    and one stacked regularized M (per-trial stacks made 50 and 100)."""
+    cfg = ExperimentConfig(trials=50, schemes=harness.ALL_SCHEMES, seed=3)
+    assert harness.BLOCK_TRIALS >= cfg.trials
+    calls = _count_gram_and_inverse(monkeypatch, cfg, range(cfg.trials))
+    assert calls["gram"] == 1 and calls["inverse"] <= 2
+
+
+def test_two_user_output_does_not_depend_on_the_chunking(tmp_path, monkeypatch):
+    """Blocks of 3 trials put block boundaries inside the chunks of --jobs 1
+    and 2; the scientific columns of both CSVs do not change with the jobs,
+    and every record is bit for bit that of its trial's batch-of-one run."""
+    monkeypatch.setattr(harness, "BLOCK_TRIALS", 3)
+    cfg = ExperimentConfig(snr_db=(-10.0, 7.5, 40.0, 0.0), trials=20, schemes=harness.ALL_SCHEMES, seed=8)
+    texts = []
+    for jobs in (1, 2, 7):
+        records, aggregate = run_experiment(cfg, jobs=jobs)
+        tp, ap = tmp_path / f"t{jobs}.csv", tmp_path / f"a{jobs}.csv"
+        write_trials_csv(tp, records)
+        write_aggregate_csv(ap, aggregate)
+        texts.append((strip_wall_column(tp.read_text()), ap.read_text()))
+    assert texts[0] == texts[1] == texts[2]
+    key = lambda r: (r.scheme, r.snr_db, r.trial, r.rho, r.sum_rate_bits, r.gap_bits)  # noqa: E731
+    solo = sorted(key(r) for t in range(cfg.trials) for r in run_trial(cfg, t))
+    assert [key(r) for r in records] == solo
+
+
+def reference_write_trials_csv(path, records) -> None:
+    """The per-record f-string writer that write_trials_csv replaced."""
+    lines = [TRIALS_HEADER]
+    for r in records:
+        lines.append(
+            f"{r.scheme},{r.snr_db:.12g},{r.trial},{r.rho:.12g},"
+            f"{r.sum_rate_bits:.12g},{r.gap_bits:.12g},{r.wall_ms:.12g}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_trials_csv_matches_the_per_record_writer(tmp_path):
+    special = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 3.0, -2.0, 0.1, 2.0 / 3.0]
+    rng = np.random.default_rng(4)
+    grid = lambda: rng.permutation(special * 3)[:24].reshape(2, 3, 4)  # noqa: E731
+    synthetic = harness.Results(
+        schemes=("dif", "zf"),
+        snr_db=(-10.0, 0.0, 12.5),
+        trials=np.array([5, 6, 7, 8]),
+        rho=np.array([0.0, -0.0, 0.999999999, 1e-300]),
+        sum_rate=grid(),
+        gap=grid(),
+        wall_ms=np.array([[0.25, 1.0, math.inf, 1e-300], [3.0, 3.0, 2.0 / 3.0, 0.0]]),
+    )
+    k3 = ExperimentConfig(k=3, m=3, snr_db=(10.0, 0.0), trials=3, schemes=("zf", "dpc", "dif_real"))
+    for name, results in (("synthetic", synthetic), ("k3", run_experiment(k3)[0])):
+        new, old = tmp_path / f"{name}_new.csv", tmp_path / f"{name}_old.csv"
+        write_trials_csv(new, results)
+        reference_write_trials_csv(old, list(results))
+        assert new.read_bytes() == old.read_bytes()
+    fields = set((tmp_path / "synthetic_new.csv").read_text().replace("\n", ",").split(","))
+    assert {"nan", "inf", "-inf", "-0", "1e-300", "1e+300", "3", "0.666666666667"} <= fields
 
 
 def test_csv_headers_and_determinism(tmp_path):
@@ -335,7 +399,7 @@ def test_config_file_sets_jobs_and_flag_wins(tmp_path, monkeypatch):
 
     def fake_run_experiment(cfg, jobs):
         seen.append(jobs)
-        return [], []
+        return run_experiment(cfg)
 
     monkeypatch.setattr(cli, "run_experiment", fake_run_experiment)
     cfg_file = tmp_path / "run.cfg"
@@ -360,6 +424,7 @@ def test_cli_gap_curve_and_errors(tmp_path):
     assert main(["--schemes", "", "--out", str(tmp_path / "bad6")]) == 2
     assert main(["--schemes", "zf,zf", "--out", str(tmp_path / "bad7")]) == 2
     assert main(["--snr-db", "10,10", "--out", str(tmp_path / "bad8")]) == 2
+    assert main(["--snr-db", "10,10.0000000000001", "--out", str(tmp_path / "bad9")]) == 2
     for i, spec in enumerate(("nan", "inf", "4000", "-4000")):
         assert main([f"--snr-db={spec}", "--out", str(tmp_path / f"bad_snr{i}")]) == 2
 
