@@ -39,11 +39,9 @@ from .gaussint import (
 )
 from .harness import (
     ExperimentConfig,
-    TrialRecord,
     draw_channel,
     gap_curve,
     run_experiment,
-    run_trial,
     trial_rng,
     write_aggregate_csv,
     write_trials_csv,

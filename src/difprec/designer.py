@@ -9,16 +9,16 @@ converges to the plain one as snr grows.
 For two users everything is closed form: the channel correlation rho picks
 the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
 the diagonal follows from a two-parameter minimization solved analytically
-(optimal_d0_2user).  For more users, design_dif_generalk_many searches the
-diagonals of many channels with a derivative-free coordinate method, letting
-lattice reduction choose A for each candidate diagonal; the starts of all its
-designs step together as one stack of rows, reduced and scored per probe.
+(optimal_d0_2user).  For more users, dif_generalk_stack searches the
+diagonal at every point of a channel stack with a derivative-free coordinate
+method, letting lattice reduction choose A for each candidate diagonal; the
+starts of all its designs step together as one stack of rows, reduced and
+scored per probe.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -69,7 +69,7 @@ class PrecoderStack:
     for what does not vary with SNR (see ChannelMatrix).
     a_re, a_im: integer parts of A (..., K, K); d: diagonal of D0 (..., K);
     c: power scale (...); y = c M D0 A (..., K, K), so that T = H^H y;
-    rates: per-user rates (..., K), NaN at points whose M is singular.
+    rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient.
     """
 
     a_re: np.ndarray
@@ -98,6 +98,12 @@ class PrecoderStack:
             regularized=regularized,
             rho=rho,
         )
+
+    def where(self, mask: np.ndarray, other: PrecoderStack) -> PrecoderStack:
+        """This stack at the points where mask holds, other elsewhere."""
+        tails = (2, 2, 1, 0, 2, 1)  # axes after the points' in a_re, a_im, d, c, y, rates
+        fields = zip(tails, vars(self).values(), vars(other).values())
+        return PrecoderStack(*(np.where(mask[(...,) + (None,) * n], x, y) for n, x, y in fields))
 
 
 def precode(
@@ -370,12 +376,12 @@ def _golden_max(f, x: np.ndarray, i: int, half_width: float, tol: float):
     return np.where(f1 >= f2, x1, x2), np.maximum(f1, f2)
 
 
-def design_dif_generalk_many(
-    channels: list[ChannelMatrix], seeds: list[int], regularized: bool = False, restarts: int = 8
-) -> list[PrecoderDesign | None]:
-    """Search-based designs for K >= 2 users, one per channel (at its single
-    SNR, same shape for all) with its seed; None where M is singular or
-    B = H^H M rank deficient.
+def dif_generalk_stack(
+    h: ChannelMatrix, seeds: list[int], regularized: bool = False, restarts: int = 8
+) -> PrecoderStack:
+    """Search-based designs for K >= 2 users at every point of h, with one
+    seed per channel.  A point whose M is singular or whose B = H^H M is rank
+    deficient gets NaN rates and A = I.
 
     The diagonal is d_i = exp(beta_i + j theta_i), sum(beta) = 0, theta_1 = 0;
     lattice reduction of B D0 picks A, and the sum rate is the objective.  A
@@ -384,38 +390,40 @@ def design_dif_generalk_many(
     all designs are one stack of rows stepping through coordinate golden-
     section sweeps together.  A row leaves after a sweep that gains under
     1e-6 bits, or after 30 sweeps, so a design does not depend on the other
-    channels.  It is the best diagonal scored, with its A; for K = 2 the
-    closed-form design is also a candidate.
+    points.  It is the best diagonal scored, with its A; for K = 2 the
+    closed-form design wins where its sum rate is higher.
     """
-    n, k = len(channels), channels[0].k
+    k = h.k
     if k < 2:
         raise ValueError("search-based design needs at least two users")
-    b = np.full((n, channels[0].m, k), np.nan, dtype=np.complex128)
-    for p, ch in enumerate(channels):
-        with contextlib.suppress(linalg.SingularMatrixError):
-            b[p] = ch.h.conj().T @ ch.inv_gram(regularized)
+    if len(seeds) != (h.h.shape[0] if h.h.ndim == 3 else 1):
+        raise ValueError("need one seed per channel")
+    m = h.inv_gram(regularized)
+    shape = np.broadcast_shapes(m.shape[:-2], np.shape(h.snr))
+    b = h.herm @ m
+    hb = np.broadcast_to(h.rows @ b, shape + (k, k)).reshape(-1, k, k)
+    b = np.broadcast_to(b, shape + (h.m, k)).reshape(-1, h.m, k)
+    snr = np.broadcast_to(h.snr, shape).reshape(-1)
+    n = len(snr)
     feasible = np.flatnonzero(~np.isnan(b[:, 0, 0]))
     feasible = feasible[~rank_deficient(b[feasible])].tolist()
-    designs = [None] * n
-    if not feasible:
-        return designs
-    hb = np.array([ch.h for ch in channels]) @ b
-    snr = np.array([float(ch.snr) for ch in channels])
-    analytic, starts, design_of = {}, [], []
+    if k == 2:
+        analytic = dif_2user_stack(h, regularized)
+        d2 = np.broadcast_to(analytic.d, shape + (2,)).reshape(-1, 2)
+    starts, design_of = [], []
     for p in feasible:
         starts.append(np.zeros(2 * (k - 1)))
         if k == 2:
-            analytic[p] = design_dif_2user(channels[p], regularized)
-            d = analytic[p].d0.d
-            starts.append([math.log(abs(d[0])), cmath.phase(d[1])])
+            starts.append([math.log(abs(d2[p, 0])), cmath.phase(d2[p, 1])])
         for r in range(restarts):
-            rng = np.random.default_rng([seeds[p], r])
+            rng = np.random.default_rng([seeds[p * len(seeds) // n], r])  # points are channel-major
             starts.append(np.r_[rng.uniform(-1.5, 1.5, k - 1), rng.uniform(0.0, 2.0 * math.pi, k - 1)])
         design_of += [p] * (len(starts) - len(design_of))
-    design_of = np.array(design_of)
+    design_of = np.array(design_of, dtype=np.intp)
     best_rate = np.full(n, -math.inf)
-    best_d = np.zeros((n, k), dtype=np.complex128)
+    best_d = np.full((n, k), np.nan, dtype=np.complex128)  # stays NaN where no start runs
     best_a = np.zeros((n, 2, k, k), dtype=np.int64)
+    best_a[:, 0] = np.eye(k, dtype=np.int64)
 
     def sum_rates(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         p = design_of[rows]
@@ -435,10 +443,12 @@ def design_dif_generalk_many(
         best_rate[q], best_d[q], best_a[q, 0], best_a[q, 1] = rates[r], d[r], a_re[r], a_im[r]
         return rates
 
-    x = np.array(starts, dtype=np.float64)
+    x = np.array(starts, dtype=np.float64).reshape(-1, 2 * (k - 1))
     live = np.arange(len(x))
     f = sum_rates(x, live)
     for _ in range(30):
+        if not live.size:
+            break
         f_sweep_start = f[live]
         for i in range(2 * (k - 1)):
             score = functools.partial(sum_rates, rows=live)
@@ -446,25 +456,22 @@ def design_dif_generalk_many(
             x[live, i] = np.where(fi > f[live], xi, x[live, i])
             f[live] = np.maximum(fi, f[live])
         live = live[f[live] - f_sweep_start >= 1e-6]
-        if not live.size:
-            break
 
-    for p in feasible:
-        h, rho = channels[p], rho_of_channel(channels[p]) if k == 2 else math.nan
-        stack = precode(h, best_d[p], best_a[p, 0], best_a[p, 1], regularized)
-        designs[p] = stack.design(h, "rdif" if regularized else "dif", regularized, rho=rho)
-        if p in analytic and analytic[p].rates.sum_rate > designs[p].rates.sum_rate:
-            designs[p] = analytic[p]
-    return designs
+    a = best_a.reshape(shape + (2, k, k))
+    stack = precode(h, best_d.reshape(shape + (k,)), a[..., 0, :, :], a[..., 1, :, :], regularized)
+    if k == 2:
+        return analytic.where(analytic.rates.sum(axis=-1) > stack.rates.sum(axis=-1), stack)
+    return stack
 
 
 def design_dif_generalk(
     h: ChannelMatrix, regularized: bool = False, restarts: int = 8, seed: int = 0
 ) -> PrecoderDesign:
-    """Search-based design for K >= 2 users (design_dif_generalk_many of one
-    channel).  Raises linalg.SingularMatrixError if M is singular or H^H M
-    rank deficient."""
-    (design,) = design_dif_generalk_many([h], [seed], regularized, restarts)
-    if design is None:
+    """Search-based design for K >= 2 users at the single SNR of h (see
+    dif_generalk_stack).  Raises linalg.SingularMatrixError if M is singular
+    or H^H M rank deficient."""
+    stack = dif_generalk_stack(h, [seed], regularized, restarts)
+    if np.isnan(stack.rates).any():
         raise linalg.SingularMatrixError()
-    return design
+    rho = rho_of_channel(h) if h.k == 2 else math.nan
+    return stack.design(h, "rdif" if regularized else "dif", regularized, rho=rho)

@@ -10,6 +10,7 @@ depend on the number of worker processes.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import rzf_stack, zf_stack, zfdp_rates
-from .designer import _rho, asymptotic_gaps, design_dif_generalk_many, dif_2user_stack
+from .designer import _rho, asymptotic_gaps, dif_2user_stack, dif_generalk_stack
 from .linalg import SingularMatrixError
 from .rates import ChannelMatrix, dpc_capacities
 
@@ -73,17 +74,6 @@ class ExperimentConfig:
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRecord:
-    scheme: str
-    snr_db: float
-    trial: int
-    rho: float
-    sum_rate_bits: float
-    gap_bits: float
-    wall_ms: float
-
-
 def draw_channel(rng: np.random.Generator, k: int, m: int) -> np.ndarray:
     """K x M matrix with i.i.d. entries (g1 + j g2)/sqrt(2), unit variance."""
     return (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / math.sqrt(2.0)
@@ -101,8 +91,7 @@ def _design_seed(seed: int, trial: int) -> int:
 @dataclass(frozen=True)
 class Results:
     """A run's records as arrays: sum_rate and gap [scheme, snr, trial], rho
-    [trial] and wall_ms [scheme, trial], each axis sorted.  Iterating yields
-    the records in that (C) order as TrialRecords."""
+    [trial] and wall_ms [scheme, trial], each axis sorted."""
 
     schemes: tuple[str, ...]
     snr_db: tuple[float, ...]
@@ -112,15 +101,9 @@ class Results:
     gap: np.ndarray
     wall_ms: np.ndarray
 
-    def __iter__(self):
-        for i, scheme in enumerate(self.schemes):
-            for j, snr_db in enumerate(self.snr_db):
-                columns = (self.rho, self.sum_rate[i, j], self.gap[i, j], self.wall_ms[i])
-                for values in zip(self.trials.tolist(), *(c.tolist() for c in columns)):
-                    yield TrialRecord(scheme, snr_db, *values)
 
-
-# per-user rates of each scheme that runs on a stack of channels, at every point
+# per-user rates of each scheme at every point of a stack of channels; for
+# K > 2, run_trials searches dif and rdif instead; dif_real is NaN for K != 2
 _STACKED_RATES = {
     "zf": lambda ch: zf_stack(ch).rates,
     "rzf": lambda ch: rzf_stack(ch).rates,
@@ -132,11 +115,10 @@ _STACKED_RATES = {
 
 
 def run_trials(cfg: ExperimentConfig, trials) -> Results:
-    """The records of a chunk of trials.  Each scheme runs once per block of
-    BLOCK_TRIALS stacked channels, over all SNR points; for K > 2 each search
-    (dif, rdif) is one design_dif_generalk_many call over the chunk.  A
-    scheme's time on the chunk, the capacity's for dpc, is split evenly over
-    its records."""
+    """The records of a chunk of trials.  Each scheme, the K > 2 searches
+    included, runs once per block of BLOCK_TRIALS stacked channels, over all
+    SNR points.  A scheme's time on the chunk, the capacity's for dpc, is
+    split evenly over its records."""
     schemes, snr_db = tuple(sorted(cfg.schemes)), tuple(sorted(cfg.snr_db))
     snr = 10.0 ** (np.array(snr_db) / 10.0)
     h = np.array([draw_channel(trial_rng(cfg.seed, t), cfg.k, cfg.m) for t in trials])
@@ -144,8 +126,7 @@ def run_trials(cfg: ExperimentConfig, trials) -> Results:
     rates = np.full((len(schemes),) + capacity.shape, math.nan)
     rho = np.full(len(h), math.nan)
     seconds = dict.fromkeys(ALL_SCHEMES, 0.0)
-    # for K != 2, dif and rdif are searched below and dif_real stays NaN
-    stacked = [s for s in cfg.schemes if s in _STACKED_RATES and (cfg.k == 2 or "dif" not in s)]
+    stacked = [s for s in cfg.schemes if s in _STACKED_RATES and (cfg.k == 2 or s != "dif_real")]
     for lo in range(0, len(h), BLOCK_TRIALS):
         block = slice(lo, lo + BLOCK_TRIALS)
         ch = ChannelMatrix(h[block], snr)
@@ -156,41 +137,34 @@ def run_trials(cfg: ExperimentConfig, trials) -> Results:
             rho[block] = _rho(ch.gram)[:, 0]
         for scheme in stacked:
             start = time.perf_counter()
-            rates[schemes.index(scheme), :, block] = _STACKED_RATES[scheme](ch).sum(axis=-1).T
+            if scheme in ("dif", "rdif") and cfg.k > 2:
+                seeds = [_design_seed(cfg.seed, t) for t in trials[block]]
+                per_user = dif_generalk_stack(ch, seeds, scheme == "rdif", cfg.restarts).rates
+            else:
+                per_user = _STACKED_RATES[scheme](ch)
+            rates[schemes.index(scheme), :, block] = per_user.sum(axis=-1).T
             seconds[scheme] += time.perf_counter() - start
-    for scheme in sorted({"dif", "rdif"} & set(schemes)) if cfg.k > 2 else []:
-        start = time.perf_counter()
-        points = [ChannelMatrix(h_t, s) for h_t in h for s in snr]
-        seeds = [_design_seed(cfg.seed, t) for t in trials for _ in snr]
-        designs = design_dif_generalk_many(points, seeds, scheme == "rdif", cfg.restarts)
-        sums = [math.nan if d is None else d.rates.sum_rate for d in designs]
-        rates[schemes.index(scheme)] = np.reshape(sums, (len(h), len(snr))).T
-        seconds[scheme] += time.perf_counter() - start
     if "dpc" in schemes:
         rates[schemes.index("dpc")] = capacity
     wall_ms = np.array([[seconds[s] * 1e3 / capacity.size] * len(h) for s in schemes])
     return Results(schemes, snr_db, np.array(trials), rho, rates, capacity - rates, wall_ms)
 
 
-def run_trial(cfg: ExperimentConfig, trial: int) -> Results:
-    """All (scheme, snr) records of one trial: its chunk of one."""
-    return run_trials(cfg, [trial])
-
-
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[Results, list[tuple]]:
     """Run all trials; returns (results, aggregate rows).
 
-    Each of `jobs` workers runs one contiguous chunk of the trials, joined
-    along the trial axis.  Aggregate rows are (scheme, snr_db, mean sum rate,
-    mean gap, stderr of the gap) over the trial axis, in sorted scheme and
-    configured SNR order.  The scientific content depends only on cfg.  Each
-    scheme with NaN records gets one warning line on stderr with their count.
+    The trials are split into `jobs` contiguous chunks, run by at most
+    os.cpu_count() worker processes and joined along the trial axis.
+    Aggregate rows are (scheme, snr_db, mean sum rate, mean gap, stderr of
+    the gap) over the trial axis, in sorted scheme and configured SNR order.
+    The scientific content depends only on cfg.  Each scheme with NaN records
+    gets one warning line on stderr with their count.
     """
     chunks = [c.tolist() for c in np.array_split(np.arange(cfg.trials), max(jobs, 1)) if c.size]
     if len(chunks) == 1:
         parts = [run_trials(cfg, chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
     columns = ("trials", "rho", "sum_rate", "gap", "wall_ms")
     joined = (np.concatenate([getattr(p, c) for p in parts], axis=-1) for c in columns)

@@ -9,7 +9,7 @@ import pytest
 
 from difprec import cli, harness, linalg
 from difprec.cli import load_config_file, main, parse_snr_spec
-from difprec.designer import design_dif_generalk
+from difprec.designer import design_dif_generalk, rho_of_channel
 from difprec.rates import ChannelMatrix
 from difprec.harness import (
     AGGREGATE_HEADER,
@@ -18,7 +18,7 @@ from difprec.harness import (
     draw_channel,
     gap_curve,
     run_experiment,
-    run_trial,
+    run_trials,
     trial_rng,
     write_aggregate_csv,
     write_trials_csv,
@@ -28,6 +28,20 @@ from difprec.harness import (
 def strip_wall_column(text: str) -> str:
     """Timing is wall-clock and inherently run-dependent; everything else is not."""
     return "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
+
+
+def record_rows(res):
+    """(scheme, snr_db, trial, rho, sum rate, gap, wall_ms) of each record, in
+    the C order of the [scheme, snr, trial] arrays."""
+    trials, rho = res.trials.tolist(), res.rho.tolist()
+    return [
+        (scheme, snr_db, t, r, rate, gap, wall)
+        for i, scheme in enumerate(res.schemes)
+        for j, snr_db in enumerate(res.snr_db)
+        for t, r, rate, gap, wall in zip(
+            trials, rho, res.sum_rate[i, j].tolist(), res.gap[i, j].tolist(), res.wall_ms[i].tolist()
+        )
+    ]
 
 
 def test_draw_channel_moments():
@@ -80,8 +94,8 @@ def test_config_validation():
 
 def test_dpc_only_run_has_zero_gaps():
     cfg = ExperimentConfig(snr_db=(0.0, 10.0), trials=5, schemes=("dpc",), seed=3)
-    records, aggregate = run_experiment(cfg)
-    assert all(r.gap_bits == 0.0 for r in records)
+    res, aggregate = run_experiment(cfg)
+    assert res.gap.shape == (1, 2, 5) and (res.gap == 0.0).all()
     assert all(row[3] == 0.0 for row in aggregate)
 
 
@@ -89,27 +103,22 @@ def test_records_respect_capacity_and_pairing():
     cfg = ExperimentConfig(
         snr_db=(5.0, 15.0), trials=6, schemes=("dif", "rdif", "zf", "rzf", "zfdp", "dpc"), seed=9
     )
-    records, _ = run_experiment(cfg)
-    dpc = {
-        (r.snr_db, r.trial): r.sum_rate_bits for r in records if r.scheme == "dpc"
-    }
-    for r in records:
-        assert 0.0 <= r.sum_rate_bits <= dpc[(r.snr_db, r.trial)] + 1e-6
-        assert r.gap_bits >= -1e-6
-    # paired sampling: rho is a per-trial channel statistic, equal across schemes/SNRs
-    by_trial = {}
-    for r in records:
-        by_trial.setdefault(r.trial, set()).add(r.rho)
-    assert all(len(v) == 1 for v in by_trial.values())
+    res, _ = run_experiment(cfg)
+    dpc = res.sum_rate[res.schemes.index("dpc")]
+    assert (0.0 <= res.sum_rate).all() and (res.sum_rate <= dpc + 1e-6).all()
+    assert (res.gap >= -1e-6).all()
+    # paired sampling: every scheme and SNR of a trial sees its one channel,
+    # whose correlation is the trial's rho
+    for t, rho in zip(res.trials.tolist(), res.rho.tolist()):
+        h = draw_channel(trial_rng(cfg.seed, t), cfg.k, cfg.m)
+        assert rho == rho_of_channel(ChannelMatrix(h, 1.0))
 
 
 def test_infeasible_scheme_reports_nan_and_continues(capsys):
     cfg = ExperimentConfig(k=3, m=3, snr_db=(10.0,), trials=2, schemes=("dif_real", "dpc"), seed=1)
-    records, _ = run_experiment(cfg)
-    real_rows = [r for r in records if r.scheme == "dif_real"]
-    assert len(real_rows) == 2 and all(math.isnan(r.sum_rate_bits) for r in real_rows)
-    dpc_rows = [r for r in records if r.scheme == "dpc"]
-    assert len(dpc_rows) == 2 and all(np.isfinite(r.sum_rate_bits) for r in dpc_rows)
+    res, _ = run_experiment(cfg)
+    assert res.schemes == ("dif_real", "dpc") and res.sum_rate.shape == (2, 1, 2)
+    assert np.isnan(res.sum_rate[0]).all() and np.isfinite(res.sum_rate[1]).all()
 
 
 def test_singular_channel_reports_nan_and_continues(monkeypatch, capsys):
@@ -117,10 +126,9 @@ def test_singular_channel_reports_nan_and_continues(monkeypatch, capsys):
     rows = np.array([[1.0, 0.5j], [1.0 + 1e-7, 0.5j]])
     monkeypatch.setattr(harness, "draw_channel", lambda rng, k, m: rows)
     cfg = ExperimentConfig(snr_db=(10.0, 30.0), trials=2, schemes=("dif", "rdif", "dpc"), seed=1)
-    records, aggregate = run_experiment(cfg)
-    dif_rows = [r for r in records if r.scheme == "dif"]
-    assert len(dif_rows) == 4 and all(math.isnan(r.sum_rate_bits) for r in dif_rows)
-    assert all(np.isfinite(r.sum_rate_bits) for r in records if r.scheme != "dif")
+    res, aggregate = run_experiment(cfg)
+    assert res.schemes == ("dif", "dpc", "rdif") and res.sum_rate.shape == (3, 2, 2)
+    assert np.isnan(res.sum_rate[0]).all() and np.isfinite(res.sum_rate[1:]).all()
     assert len(aggregate) == 3 * 2
     assert "warning: dif" in capsys.readouterr().err
 
@@ -150,9 +158,9 @@ def test_dpc_rows_are_charged_the_capacity_time(monkeypatch):
 
     monkeypatch.setattr(harness, "dpc_capacities", slow_capacities)
     cfg = ExperimentConfig(snr_db=(0.0, 10.0, 20.0), trials=2, schemes=("zf", "dpc"), seed=5)
-    records, _ = run_experiment(cfg)
-    dpc_rows = [r for r in records if r.scheme == "dpc"]
-    assert len(dpc_rows) == 6 and sum(r.wall_ms for r in dpc_rows) >= 5.0
+    res, _ = run_experiment(cfg)
+    dpc_rows = [r for r in record_rows(res) if r[0] == "dpc"]
+    assert len(dpc_rows) == 6 and sum(r[6] for r in dpc_rows) >= 5.0
 
 
 def _count_gram_and_inverse(monkeypatch, cfg, trials=(0,)):
@@ -198,6 +206,19 @@ def test_one_chunk_builds_the_gram_once_for_all_trials(monkeypatch):
     assert calls["gram"] == 1 and calls["inverse"] <= 2
 
 
+def test_general_k_chunk_builds_the_gram_once(monkeypatch):
+    """The K = 3 searches read B and H B off the chunk's shared inverse Gram
+    matrices, as zf, rzf and dpc do: one G, one plain M and one stacked
+    regularized M for the whole chunk (a ChannelMatrix per (trial, SNR)
+    point made one G and one M per point and scheme)."""
+    cfg = ExperimentConfig(
+        k=3, m=3, snr_db=(10.0, 25.0), trials=3, schemes=("dif", "rdif", "zf", "rzf", "dpc"),
+        restarts=1, seed=6,
+    )
+    calls = _count_gram_and_inverse(monkeypatch, cfg, range(cfg.trials))
+    assert calls["gram"] == 1 and calls["inverse"] <= 2
+
+
 def test_two_user_output_does_not_depend_on_the_chunking(tmp_path, monkeypatch):
     """Blocks of 3 trials put block boundaries inside the chunks of --jobs 1
     and 2; the scientific columns of both CSVs do not change with the jobs,
@@ -206,25 +227,25 @@ def test_two_user_output_does_not_depend_on_the_chunking(tmp_path, monkeypatch):
     cfg = ExperimentConfig(snr_db=(-10.0, 7.5, 40.0, 0.0), trials=20, schemes=harness.ALL_SCHEMES, seed=8)
     texts = []
     for jobs in (1, 2, 7):
-        records, aggregate = run_experiment(cfg, jobs=jobs)
+        res, aggregate = run_experiment(cfg, jobs=jobs)
         tp, ap = tmp_path / f"t{jobs}.csv", tmp_path / f"a{jobs}.csv"
-        write_trials_csv(tp, records)
+        write_trials_csv(tp, res)
         write_aggregate_csv(ap, aggregate)
         texts.append((strip_wall_column(tp.read_text()), ap.read_text()))
     assert texts[0] == texts[1] == texts[2]
-    key = lambda r: (r.scheme, r.snr_db, r.trial, r.rho, r.sum_rate_bits, r.gap_bits)  # noqa: E731
-    solo = sorted(key(r) for t in range(cfg.trials) for r in run_trial(cfg, t))
-    assert [key(r) for r in records] == solo
+    for t in range(cfg.trials):
+        solo = run_trials(cfg, [t])
+        assert solo.rho[0] == res.rho[t]
+        np.testing.assert_array_equal(solo.sum_rate[..., 0], res.sum_rate[..., t], strict=True)
+        np.testing.assert_array_equal(solo.gap[..., 0], res.gap[..., t], strict=True)
 
 
-def reference_write_trials_csv(path, records) -> None:
-    """The per-record f-string writer that write_trials_csv replaced."""
+def reference_write_trials_csv(path, rows) -> None:
+    """The per-record f-string writer that write_trials_csv replaced, on the
+    (scheme, snr_db, trial, rho, sum rate, gap, wall_ms) rows of record_rows."""
     lines = [TRIALS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.scheme},{r.snr_db:.12g},{r.trial},{r.rho:.12g},"
-            f"{r.sum_rate_bits:.12g},{r.gap_bits:.12g},{r.wall_ms:.12g}"
-        )
+    for scheme, snr_db, trial, rho, rate, gap, wall in rows:
+        lines.append(f"{scheme},{snr_db:.12g},{trial},{rho:.12g},{rate:.12g},{gap:.12g},{wall:.12g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -245,7 +266,7 @@ def test_trials_csv_matches_the_per_record_writer(tmp_path):
     for name, results in (("synthetic", synthetic), ("k3", run_experiment(k3)[0])):
         new, old = tmp_path / f"{name}_new.csv", tmp_path / f"{name}_old.csv"
         write_trials_csv(new, results)
-        reference_write_trials_csv(old, list(results))
+        reference_write_trials_csv(old, record_rows(results))
         assert new.read_bytes() == old.read_bytes()
     fields = set((tmp_path / "synthetic_new.csv").read_text().replace("\n", ",").split(","))
     assert {"nan", "inf", "-inf", "-0", "1e-300", "1e+300", "3", "0.666666666667"} <= fields
@@ -257,9 +278,9 @@ def test_csv_headers_and_determinism(tmp_path):
     )
     paths = []
     for run, jobs in enumerate((1, 2, 1)):
-        records, aggregate = run_experiment(cfg, jobs=jobs)
+        res, aggregate = run_experiment(cfg, jobs=jobs)
         tp, ap = tmp_path / f"t{run}.csv", tmp_path / f"a{run}.csv"
-        write_trials_csv(tp, records)
+        write_trials_csv(tp, res)
         write_aggregate_csv(ap, aggregate)
         paths.append((tp, ap))
     t_texts = [p[0].read_text() for p in paths]
@@ -276,9 +297,9 @@ def test_scheme_order_does_not_change_output(tmp_path):
     cfg_b = ExperimentConfig(schemes=("dpc", "dif", "zf"), **base)
     out = []
     for run, cfg in enumerate((cfg_a, cfg_b)):
-        records, aggregate = run_experiment(cfg)
+        res, aggregate = run_experiment(cfg)
         tp = tmp_path / f"o{run}.csv"
-        write_trials_csv(tp, records)
+        write_trials_csv(tp, res)
         out.append(strip_wall_column(tp.read_text()))
     assert out[0] == out[1]
 
@@ -287,39 +308,44 @@ def test_general_k_path_and_rectangular_channels():
     cfg = ExperimentConfig(
         k=3, m=4, snr_db=(20.0,), trials=2, schemes=("dif", "rdif", "zf", "dpc"), restarts=2, seed=2
     )
-    records, _ = run_experiment(cfg)
-    dpc = {r.trial: r.sum_rate_bits for r in records if r.scheme == "dpc"}
-    for r in records:
-        assert math.isnan(r.rho)  # rho is a two-user statistic
-        assert 0.0 <= r.sum_rate_bits <= dpc[r.trial] + 1e-6
+    res, _ = run_experiment(cfg)
+    assert np.isnan(res.rho).all()  # rho is a two-user statistic
+    dpc = res.sum_rate[res.schemes.index("dpc")]
+    assert (0.0 <= res.sum_rate).all() and (res.sum_rate <= dpc + 1e-6).all()
 
 
-def test_general_k_output_does_not_depend_on_the_chunking(tmp_path):
-    """Each worker designs its chunk of trials in one search; the scientific
-    columns are those of --jobs 1, and every searched record is the sum rate
-    of a batch-of-one design of its trial."""
+def test_general_k_output_does_not_depend_on_the_chunking(tmp_path, monkeypatch):
+    """Each worker searches its chunk of trials one block at a time; with the
+    default blocks and with blocks of 2 trials (a boundary inside the chunk of
+    --jobs 1), the scientific columns are those of --jobs 1, and every
+    searched record is the sum rate of a batch-of-one design of its trial."""
     cfg = ExperimentConfig(
         k=3, m=3, snr_db=(10.0, 25.0), trials=4, schemes=("dif", "rdif", "zf"), restarts=2, seed=6
     )
-    texts = []
-    for jobs in (1, 2):
-        records, aggregate = run_experiment(cfg, jobs=jobs)
-        tp, ap = tmp_path / f"t{jobs}.csv", tmp_path / f"a{jobs}.csv"
-        write_trials_csv(tp, records)
-        write_aggregate_csv(ap, aggregate)
-        texts.append((strip_wall_column(tp.read_text()), ap.read_text()))
-    assert texts[0] == texts[1]
-    snr = 10.0 ** (np.array(cfg.snr_db) / 10.0)
-    for r in records:
-        if r.scheme in ("dif", "rdif"):
-            h = draw_channel(trial_rng(cfg.seed, r.trial), cfg.k, cfg.m)
-            design = design_dif_generalk(
-                ChannelMatrix(h, snr[cfg.snr_db.index(r.snr_db)]),
-                r.scheme == "rdif",
-                restarts=cfg.restarts,
-                seed=harness._design_seed(cfg.seed, r.trial),
-            )
-            assert design.rates.sum_rate == r.sum_rate_bits
+    texts, runs = [], []
+    for block_trials in (harness.BLOCK_TRIALS, 2):
+        monkeypatch.setattr(harness, "BLOCK_TRIALS", block_trials)
+        for jobs in (1, 2):
+            res, aggregate = run_experiment(cfg, jobs=jobs)
+            tp, ap = tmp_path / f"t{jobs}.csv", tmp_path / f"a{jobs}.csv"
+            write_trials_csv(tp, res)
+            write_aggregate_csv(ap, aggregate)
+            texts.append((strip_wall_column(tp.read_text()), ap.read_text()))
+            runs.append(res)
+    assert texts[0] == texts[1] == texts[2] == texts[3]
+    snr = 10.0 ** (np.array(res.snr_db) / 10.0)  # as run_trials computes it
+    for scheme in ("dif", "rdif"):
+        i = res.schemes.index(scheme)
+        for j in range(len(snr)):
+            for t in range(cfg.trials):
+                h = draw_channel(trial_rng(cfg.seed, t), cfg.k, cfg.m)
+                design = design_dif_generalk(
+                    ChannelMatrix(h, snr[j]),
+                    scheme == "rdif",
+                    restarts=cfg.restarts,
+                    seed=harness._design_seed(cfg.seed, t),
+                )
+                assert all(design.rates.sum_rate == run.sum_rate[i, j, t] for run in runs)
 
 
 @pytest.mark.parametrize("scheme", ["dif", "rdif"])
@@ -327,7 +353,7 @@ def test_singular_channel_spares_the_rest_of_its_chunk(monkeypatch, capfd, schem
     """Trial 1 of a K = 3 chunk gets two equal rows: its plain M is singular
     and its regularized B = H^H M rank deficient.  Only its records are NaN."""
     cfg = ExperimentConfig(k=3, m=3, snr_db=(10.0, 30.0), trials=3, schemes=(scheme,), restarts=1, seed=2)
-    clean, _ = run_experiment(cfg)
+    clean = run_experiment(cfg)[0].sum_rate
     h1 = draw_channel(trial_rng(cfg.seed, 1), 3, 3)
     singular = np.vstack([h1[:2], h1[:1]])
     monkeypatch.setattr(harness, "trial_rng", lambda seed, trial: (seed, trial))
@@ -337,12 +363,9 @@ def test_singular_channel_spares_the_rest_of_its_chunk(monkeypatch, capfd, schem
         lambda key, k, m: singular if key[1] == 1 else draw_channel(trial_rng(*key), k, m),
     )
     capfd.readouterr()
-    records, _ = run_experiment(cfg)
-    for r, c in zip(records, clean):
-        if r.trial == 1:
-            assert math.isnan(r.sum_rate_bits)
-        else:
-            assert r.sum_rate_bits == c.sum_rate_bits
+    rates = run_experiment(cfg)[0].sum_rate
+    assert np.isnan(rates[..., 1]).all()
+    assert np.array_equal(rates[..., [0, 2]], clean[..., [0, 2]])
     assert capfd.readouterr().err.splitlines() == [
         f"warning: {scheme} infeasible for K=3 in 2 records: matrix is singular to working precision"
     ]
@@ -449,14 +472,42 @@ def test_cli_single_user(tmp_path, capsys):
             assert float(gap) == 0.0
 
 
-def test_run_trial_matches_run_experiment():
+def test_one_trial_chunk_matches_run_experiment():
     cfg = ExperimentConfig(snr_db=(10.0,), trials=3, schemes=("dif", "dpc"), seed=11)
-    records, _ = run_experiment(cfg)
-    solo = run_trial(cfg, 1)
-    by_key = {(r.scheme, r.snr_db): r for r in solo}
-    for r in records:
-        if r.trial == 1:
-            assert by_key[(r.scheme, r.snr_db)].sum_rate_bits == r.sum_rate_bits
+    res, _ = run_experiment(cfg)
+    solo = run_trials(cfg, [1])
+    assert solo.sum_rate.shape == (2, 1, 1)
+    assert np.array_equal(solo.sum_rate[..., 0], res.sum_rate[..., 1])
+
+
+def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
+    """One chunk per job, but no more worker processes than CPUs.  The
+    stand-in executor maps in this process, so the test starts none."""
+    seen = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cfg = ExperimentConfig(snr_db=(0.0, 10.0), trials=5, schemes=("dif", "zf", "dpc"), seed=2)
+    alone, aggregate = run_experiment(cfg)
+    for jobs in (2, 5, 500):
+        res, rows = run_experiment(cfg, jobs=jobs)
+        assert np.array_equal(res.sum_rate, alone.sum_rate) and rows == aggregate
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    run_experiment(cfg, jobs=2)
+    assert seen == [2, 3, 3, 1]
 
 
 def test_cli_singular_dpc_point_is_a_nan_record(tmp_path, capsys):

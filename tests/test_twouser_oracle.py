@@ -15,7 +15,7 @@ import pytest
 
 from difprec import harness
 from difprec.gaussint import ceil_norm_set, floor_norm_set, two_square_decomp
-from difprec.harness import ALL_SCHEMES, ExperimentConfig, run_trial
+from difprec.harness import ALL_SCHEMES, ExperimentConfig, run_trials
 
 RHO_MAX = 1.0 - 1e-9
 SNR_DB = tuple(float(x) for x in np.arange(-10.0, 40.0 + 1e-9, 2.5))
@@ -132,7 +132,12 @@ def scalar_records(h, snrs_db=SNR_DB):
 
 
 def batched_records(cfg, trial):
-    return {(r.scheme, r.snr_db): (r.rho, r.sum_rate_bits, r.gap_bits) for r in run_trial(cfg, trial)}
+    res = run_trials(cfg, [trial])
+    return {
+        (scheme, snr_db): (float(res.rho[0]), float(res.sum_rate[i, j, 0]), float(res.gap[i, j, 0]))
+        for i, scheme in enumerate(res.schemes)
+        for j, snr_db in enumerate(res.snr_db)
+    }
 
 
 @pytest.mark.parametrize("m", [2, 4])
