@@ -10,10 +10,10 @@ For two users everything is closed form: the channel correlation rho picks
 the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
 the diagonal follows from a two-parameter minimization solved analytically
 (optimal_d0_2user).  For more users, dif_generalk_stack searches the
-diagonal at every point of a channel stack with a derivative-free coordinate
-method, letting lattice reduction choose A for each candidate diagonal; the
-starts of all its designs step together as one stack of rows, reduced and
-scored per probe.
+diagonal at every point of a channel stack by coordinate golden sections,
+letting lattice reduction choose A for each candidate diagonal; the starts of
+all its designs step together as one stack of rows, reduced and scored per
+probe, until SEARCH_TOL, SWEEP_GAIN_BITS and MAX_SWEEPS stop them.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ from .reduction import rank_deficient, sorted_reduction
 # Numerically rank-deficient channels get their correlation clamped here so
 # the u = rho/sqrt(1-rho^2) change of variables stays finite.
 RHO_MAX = 1.0 - 1e-9
+
+# the general-K search's stopping rule, set by measurement (see README.md)
+SEARCH_TOL = 1e-3  # width at which a golden section stops
+SWEEP_GAIN_BITS = 1e-4  # a start stops after a sweep gaining less than this,
+MAX_SWEEPS = 30  # or after this many sweeps
 
 
 @dataclass(frozen=True)
@@ -351,10 +356,10 @@ def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
     return float(asymptotic_gaps(rho, real_constraint))
 
 
-def _golden_max(f, x: np.ndarray, i: int, half_width: float, tol: float):
+def _golden_max(f, x: np.ndarray, i: int, half_width: float):
     """Golden-section maximum of f along coordinate i of every row of x, over
-    [x_i - half_width, x_i + half_width].  f scores a stack of rows at once;
-    every row has the same interval width, so all take the same probes.
+    [x_i - half_width, x_i + half_width] narrowed to SEARCH_TOL.  f scores a
+    stack of rows at once, all with the same interval and so the same probes.
     Returns the maximizing coordinates and their scores, one per row."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x = x.copy()
@@ -364,7 +369,7 @@ def _golden_max(f, x: np.ndarray, i: int, half_width: float, tol: float):
     f1 = f(x)
     x[:, i] = x2
     f2 = f(x)
-    while (b - a).max() > tol:
+    while (b - a).max() > SEARCH_TOL:
         up = f1 < f2
         a, b = np.where(up, x1, a), np.where(up, b, x2)
         x_kept, f_kept = np.where(up, x2, x1), np.where(up, f2, f1)
@@ -388,10 +393,10 @@ def dif_generalk_stack(
     design starts from D0 = I, `restarts` random diagonals keyed by (seed,
     restart index) and, for K = 2, the closed-form diagonal.  All starts of
     all designs are one stack of rows stepping through coordinate golden-
-    section sweeps together.  A row leaves after a sweep that gains under
-    1e-6 bits, or after 30 sweeps, so a design does not depend on the other
-    points.  It is the best diagonal scored, with its A; for K = 2 the
-    closed-form design wins where its sum rate is higher.
+    section sweeps together; each row stops by the rule of SEARCH_TOL,
+    SWEEP_GAIN_BITS and MAX_SWEEPS on its own, so a design does not depend on
+    the other points.  It is the best diagonal scored, with its A; for K = 2
+    the closed-form design wins where its sum rate is higher.
     """
     k = h.k
     if k < 2:
@@ -446,16 +451,16 @@ def dif_generalk_stack(
     x = np.array(starts, dtype=np.float64).reshape(-1, 2 * (k - 1))
     live = np.arange(len(x))
     f = sum_rates(x, live)
-    for _ in range(30):
+    for _ in range(MAX_SWEEPS):
         if not live.size:
             break
         f_sweep_start = f[live]
+        score = functools.partial(sum_rates, rows=live)
         for i in range(2 * (k - 1)):
-            score = functools.partial(sum_rates, rows=live)
-            xi, fi = _golden_max(score, x[live], i, 1.5 if i < k - 1 else math.pi, 1e-6)
+            xi, fi = _golden_max(score, x[live], i, 1.5 if i < k - 1 else math.pi)
             x[live, i] = np.where(fi > f[live], xi, x[live, i])
             f[live] = np.maximum(fi, f[live])
-        live = live[f[live] - f_sweep_start >= 1e-6]
+        live = live[f[live] - f_sweep_start >= SWEEP_GAIN_BITS]
 
     a = best_a.reshape(shape + (2, k, k))
     stack = precode(h, best_d.reshape(shape + (k,)), a[..., 0, :, :], a[..., 1, :, :], regularized)

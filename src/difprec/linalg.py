@@ -12,9 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# CMatrix: alias for a 2-D complex128 ndarray.
-CMatrix = np.ndarray
-
 PIVOT_RTOL = 1e-12
 
 
@@ -25,7 +22,7 @@ class SingularMatrixError(ValueError):
         super().__init__(message)
 
 
-def cmatrix(entries) -> CMatrix:
+def cmatrix(entries) -> np.ndarray:
     """Validate and convert to the canonical 2-D complex128 representation."""
     m = np.array(entries, dtype=np.complex128, order="C")
     if m.ndim != 2:
@@ -40,7 +37,7 @@ def gram(m: np.ndarray) -> np.ndarray:
     return m @ m.swapaxes(-1, -2).conj()
 
 
-def frob_norm_sq(m: CMatrix) -> float:
+def frob_norm_sq(m: np.ndarray) -> float:
     return float(np.sum(np.abs(m) ** 2))
 
 
