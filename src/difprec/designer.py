@@ -11,9 +11,9 @@ the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
 the diagonal follows from a two-parameter minimization solved analytically
 (optimal_d0_2user).  For more users, dif_generalk_stack searches the
 diagonal at every point of a channel stack by coordinate golden sections,
-letting lattice reduction choose A for each candidate diagonal; the starts of
-all its designs step together as one stack of rows, reduced and scored per
-probe, until SEARCH_TOL, SWEEP_GAIN_BITS and MAX_SWEEPS stop them.
+letting lattice reduction, warm-started from each row's last A, choose A for
+each candidate diagonal; all starts of all designs step as one stack of rows
+until SEARCH_TOL, SWEEP_GAIN_BITS and MAX_SWEEPS stop them.
 """
 
 from __future__ import annotations
@@ -389,14 +389,15 @@ def dif_generalk_stack(
     deficient gets NaN rates and A = I.
 
     The diagonal is d_i = exp(beta_i + j theta_i), sum(beta) = 0, theta_1 = 0;
-    lattice reduction of B D0 picks A, and the sum rate is the objective.  A
-    design starts from D0 = I, `restarts` random diagonals keyed by (seed,
-    restart index) and, for K = 2, the closed-form diagonal.  All starts of
-    all designs are one stack of rows stepping through coordinate golden-
-    section sweeps together; each row stops by the rule of SEARCH_TOL,
-    SWEEP_GAIN_BITS and MAX_SWEEPS on its own, so a design does not depend on
-    the other points.  It is the best diagonal scored, with its A; for K = 2
-    the closed-form design wins where its sum rate is higher.
+    lattice reduction of B D0 A_last picks A = A_last U, with A_last the row's
+    own previous A (I at its first; the identity fallback keeps it), and the
+    sum rate is the objective.  A design starts from D0 = I, `restarts` random
+    diagonals keyed by (seed, restart index) and, for K = 2, the closed-form
+    diagonal.  All starts of all designs step through coordinate golden-section
+    sweeps as one stack of rows; each stops by SEARCH_TOL, SWEEP_GAIN_BITS and
+    MAX_SWEEPS on its own, so a design does not depend on the other points.
+    It is the best diagonal scored, with its A; for K = 2 the closed-form
+    design wins where its sum rate is higher.
     """
     k = h.k
     if k < 2:
@@ -427,16 +428,18 @@ def dif_generalk_stack(
     design_of = np.array(design_of, dtype=np.intp)
     best_rate = np.full(n, -math.inf)
     best_d = np.full((n, k), np.nan, dtype=np.complex128)  # stays NaN where no start runs
-    best_a = np.zeros((n, 2, k, k), dtype=np.int64)
-    best_a[:, 0] = np.eye(k, dtype=np.int64)
+    eye = [np.eye(k, dtype=np.int64), np.zeros((k, k), np.int64)]
+    best_a, last_a = np.tile(eye, (n, 1, 1, 1)), np.tile(eye, (len(design_of), 1, 1, 1))
 
     def sum_rates(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
         p = design_of[rows]
         beta = np.concatenate([x[:, : k - 1], -x[:, : k - 1].sum(axis=1, keepdims=True)], axis=1)
         theta = np.concatenate([np.zeros((len(x), 1)), x[:, k - 1 :]], axis=1)
         d = np.exp(beta + 1j * theta)
-        a_re, a_im, norms = sorted_reduction(b[p] * d[:, None, :])
-        a = a_re + 1j * a_im
+        w_re, w_im = last_a[rows, 0], last_a[rows, 1]  # warm start: A = A_last U, in integers
+        u_re, u_im, norms = sorted_reduction((b[p] * d[:, None, :]) @ (w_re + 1j * w_im))
+        last_a[rows, 0], last_a[rows, 1] = w_re @ u_re - w_im @ u_im, w_re @ u_im + w_im @ u_re
+        a = last_a[rows, 0] + 1j * last_a[rows, 1]
         # H T0 / ||T0||_F with T0 = B D0 A, from the reduced column norms
         h_eff = (hb[p] * d[:, None, :]) @ a / np.sqrt(norms.sum(axis=1))[:, None, None]
         rates = comp_rates(h_eff, a, snr[p][:, None]).sum(axis=1)
@@ -445,7 +448,7 @@ def dif_generalk_stack(
         lead = np.lexsort((-rates, p))[np.flatnonzero(np.diff(p, prepend=-1))]
         r = lead[rates[lead] > best_rate[p[lead]]]
         q = p[r]
-        best_rate[q], best_d[q], best_a[q, 0], best_a[q, 1] = rates[r], d[r], a_re[r], a_im[r]
+        best_rate[q], best_d[q], best_a[q] = rates[r], d[r], last_a[rows[r]]
         return rates
 
     x = np.array(starts, dtype=np.float64).reshape(-1, 2 * (k - 1))

@@ -5,7 +5,8 @@ Gaussian integer and the Lovasz test is ||q_k||^2 >= (LLL_DELTA -
 |mu_{k,k-1}|^2) ||q_{k-1}||^2.  A generator stack (N, M, K) holds N lattices,
 each spanned by the columns of an M x K matrix.  One batched QR gives every
 member's Gram-Schmidt data, ||q_j||^2 = |r_jj|^2 and mu_{i,j} = r_ji / r_jj.
-The index loop then runs member by member on Python scalars (K <= 8, where
+Members that pass every test on it already get U = I with no loop.  On the
+rest the index loop runs member by member on Python scalars (K <= 8, where
 numpy call overhead would dominate) and updates mu, the norms and the exact
 integer transform U, never the basis: the reduced columns are g @ U.
 sorted_reduction sorts them by image norm, which approximates the K shortest
@@ -14,13 +15,11 @@ independent lattice vectors.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .gaussint import IntegerCoeffMatrix
 
-_MAX_SWEEPS = 100000
+_MAX_STEPS = 100000
 LLL_DELTA = 0.99
 
 
@@ -49,15 +48,13 @@ def rank_deficient(g: np.ndarray) -> np.ndarray:
 def _lll_one(mu, qnorm, k: int):
     """Complex LLL of one lattice on its Gram-Schmidt data (nested lists,
     updated in place); returns the columns of U as (re, im) integer lists."""
-    ur = [[0] * k for _ in range(k)]
+    ur = [[0] * j + [1] + [0] * (k - 1 - j) for j in range(k)]
     ui = [[0] * k for _ in range(k)]
-    for j in range(k):
-        ur[j][j] = 1
     kk = 1
     steps = 0
     while kk < k:
         steps += 1
-        if steps > _MAX_SWEEPS:
+        if steps > _MAX_STEPS:
             raise RuntimeError("lattice reduction failed to converge")
         mrow = mu[kk]
         for j in range(kk - 1, -1, -1):
@@ -109,10 +106,16 @@ def _lll(g: np.ndarray) -> np.ndarray:
     if deficient.any():
         raise ValueError("generator matrix is rank deficient")
     mu = np.swapaxes(r / np.diagonal(r, axis1=-2, axis2=-1)[..., :, None], -2, -1)
-    cols = [_lll_one(m, q, k) for m, q in zip(mu.tolist(), qnorm.tolist())]
-    flat = itertools.chain.from_iterable
-    u = np.fromiter(flat(flat(flat(cols))), np.int64, len(cols) * 2 * k * k)
-    return np.swapaxes(u.reshape(len(cols), 2, k, k), -2, -1)
+    # the loop's tests, passed by the members it leaves as they are; the 1e-12
+    # margin keeps rounding unlike the loop's from passing a swap it would make
+    sub = np.diagonal(mu, -1, axis1=-2, axis2=-1)
+    lovasz = qnorm[:, 1:] >= (LLL_DELTA - np.hypot(sub.real, sub.imag) ** 2) * qnorm[:, :-1] * (1 + 1e-12)
+    sized = (abs(np.tril(mu, -1).view(np.float64)) <= 0.5).all(axis=(-2, -1))  # |Re|, |Im| <= 1/2
+    todo = np.flatnonzero(~(sized & lovasz.all(axis=-1)))
+    u = np.tile([np.eye(k, dtype=np.int64), np.zeros((k, k), np.int64)], (len(g), 1, 1, 1))
+    cols = [_lll_one(m, q, k) for m, q in zip(mu[todo].tolist(), qnorm[todo].tolist())]
+    u[todo] = np.swapaxes(np.array(cols, dtype=np.int64).reshape(-1, 2, k, k), -2, -1)
+    return u
 
 
 def sorted_reduction(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,11 +153,8 @@ def _single(g: np.ndarray) -> np.ndarray:
 
 
 def clll_reduce(g: np.ndarray):
-    """LLL-reduce the lattice generated by the columns of g over Z[j].
-
-    Returns (reduced_basis, u) with reduced_basis = g @ u.to_complex() and u
-    unimodular.
-    """
+    """LLL-reduce the lattice generated by the columns of g over Z[j]: returns
+    (reduced_basis, u), u unimodular and reduced_basis = g @ u.to_complex()."""
     g = _single(g)
     u = IntegerCoeffMatrix(*_lll(g)[0])
     return g[0] @ u.to_complex(), u

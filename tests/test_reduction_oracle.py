@@ -11,7 +11,8 @@ scalars, as the reference.
 import numpy as np
 import pytest
 
-from difprec.reduction import LLL_DELTA, rank_deficient, sorted_reduction
+from difprec import reduction
+from difprec.reduction import LLL_DELTA, _lll, rank_deficient, sorted_reduction
 
 
 def col_norm_sq(col):
@@ -89,6 +90,15 @@ def identity_ucols(k):
     return [[(1, 0) if t == j else (0, 0) for t in range(k)] for j in range(k)]
 
 
+def lll_reference(g):
+    """(U re, U im) of the column-list index loop for one M x K g, unsorted."""
+    cols = [list(map(complex, g[:, j])) for j in range(g.shape[1])]
+    ucols = identity_ucols(len(cols))
+    clll_core(cols, ucols)
+    u = np.array(ucols, dtype=np.int64)  # (column, entry, re/im)
+    return u[..., 0].T, u[..., 1].T
+
+
 def sorted_reduction_reference(g):
     """(U re, U im, fallback taken) of the column-list reducer for one M x K g."""
     g_cols = [list(map(complex, g[:, j])) for j in range(g.shape[1])]
@@ -116,6 +126,20 @@ def column_scaled_generators(k, m, n, key):
     b = (rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))) / np.sqrt(2.0)
     d = np.exp(rng.uniform(-1.5, 1.5, (n, k)) + 1j * rng.uniform(0.0, 2.0 * np.pi, (n, k)))
     return b * d[:, None, :]
+
+
+def reduced_generators(k, m, n, key):
+    """g U with U the LLL transform of each g of a column-scaled stack: bases
+    that are LLL-reduced already."""
+    gens = column_scaled_generators(k, m, n, key)
+    u = _lll(gens)
+    return gens @ (u[:, 0] + 1j * u[:, 1])
+
+
+def is_identity(u):
+    """Which members of a (N, 2, K, K) transform stack are U = I."""
+    real_eye = (u[:, 0] == np.eye(u.shape[-1], dtype=np.int64)).all(axis=(-2, -1))
+    return real_eye & (u[:, 1] == 0).all(axis=(-2, -1))
 
 
 def reference_mismatches(gens):
@@ -171,3 +195,33 @@ def test_rank_deficient_member_raises():
     with pytest.raises(ValueError, match="rank deficient"):
         sorted_reduction(gens)
     sorted_reduction(gens[[0, 2]])
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_lll_matches_index_loop_on_every_member(k):
+    """_lll, which runs the index loop only on members that are not reduced
+    already, gives the U of the loop run on every member, and sorted_reduction
+    the sorted U of the reference: on random stacks, on stacks of reduced
+    bases and on the two shuffled together."""
+    rand = column_scaled_generators(k, k + 1, 150, key=31)
+    reduced = reduced_generators(k, k + 1, 150, key=32)
+    mixed = np.concatenate([rand[:75], reduced[:75]])[np.random.default_rng(k).permutation(150)]
+    for gens in (rand, reduced, mixed):
+        u = _lll(gens)
+        for n, g in enumerate(gens):
+            ref_re, ref_im = lll_reference(g)
+            assert np.array_equal(u[n, 0], ref_re) and np.array_equal(u[n, 1], ref_im)
+        assert reference_mismatches(gens)[0] == []
+    assert is_identity(_lll(reduced)).all() and not is_identity(_lll(rand)).all()
+
+
+def test_reduced_members_skip_the_index_loop(monkeypatch):
+    """A stack of reduced bases never enters the per-lattice loop; an
+    unreduced member added to it does, and only it."""
+    reduced = reduced_generators(4, 4, 100, key=33)
+    calls = []
+    loop = reduction._lll_one
+    monkeypatch.setattr(reduction, "_lll_one", lambda mu, q, k: calls.append(len(mu)) or loop(mu, q, k))
+    assert is_identity(_lll(reduced)).all() and calls == []
+    u = _lll(np.concatenate([reduced, column_scaled_generators(4, 4, 1, key=34)]))
+    assert calls == [4] and is_identity(u).tolist() == [True] * 100 + [False]
