@@ -19,7 +19,6 @@ until SEARCH_TOL, SWEEP_GAIN_BITS and MAX_SWEEPS stop them.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -371,13 +370,11 @@ def _golden_max(f, x: np.ndarray, i: int, half_width: float):
     f2 = f(x)
     while (b - a).max() > SEARCH_TOL:
         up = f1 < f2
-        a, b = np.where(up, x1, a), np.where(up, b, x2)
-        x_kept, f_kept = np.where(up, x2, x1), np.where(up, f2, f1)
-        x_new = np.where(up, a + invphi * (b - a), b - invphi * (b - a))
-        x[:, i] = x_new
+        a, b, x_kept, f_kept = np.where(up, (x1, b, x2, f2), (a, x2, x1, f1))
+        step = invphi * (b - a)
+        x[:, i] = x_new = np.where(up, a + step, b - step)
         f_new = f(x)
-        x1, f1 = np.where(up, x_kept, x_new), np.where(up, f_kept, f_new)
-        x2, f2 = np.where(up, x_new, x_kept), np.where(up, f_new, f_kept)
+        x1, f1, x2, f2 = np.where(up, (x_kept, f_kept, x_new, f_new), (x_new, f_new, x_kept, f_kept))
     return np.where(f1 >= f2, x1, x2), np.maximum(f1, f2)
 
 
@@ -431,34 +428,37 @@ def dif_generalk_stack(
     eye = [np.eye(k, dtype=np.int64), np.zeros((k, k), np.int64)]
     best_a, last_a = np.tile(eye, (n, 1, 1, 1)), np.tile(eye, (len(design_of), 1, 1, 1))
 
-    def sum_rates(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def scorer(rows: np.ndarray):  # the objective on a sorted set of rows, gathered once
         p = design_of[rows]
-        beta = np.concatenate([x[:, : k - 1], -x[:, : k - 1].sum(axis=1, keepdims=True)], axis=1)
-        theta = np.concatenate([np.zeros((len(x), 1)), x[:, k - 1 :]], axis=1)
-        d = np.exp(beta + 1j * theta)
-        w_re, w_im = last_a[rows, 0], last_a[rows, 1]  # warm start: A = A_last U, in integers
-        u_re, u_im, norms = sorted_reduction((b[p] * d[:, None, :]) @ (w_re + 1j * w_im))
-        last_a[rows, 0], last_a[rows, 1] = w_re @ u_re - w_im @ u_im, w_re @ u_im + w_im @ u_re
-        a = last_a[rows, 0] + 1j * last_a[rows, 1]
-        # H T0 / ||T0||_F with T0 = B D0 A, from the reduced column norms
-        h_eff = (hb[p] * d[:, None, :]) @ a / np.sqrt(norms.sum(axis=1))[:, None, None]
-        rates = comp_rates(h_eff, a, snr[p][:, None]).sum(axis=1)
-        # per design, the first probe strictly better than its best wins, and
-        # within a probe its lowest row (lexsort is stable; p is sorted)
-        lead = np.lexsort((-rates, p))[np.flatnonzero(np.diff(p, prepend=-1))]
-        r = lead[rates[lead] > best_rate[p[lead]]]
-        q = p[r]
-        best_rate[q], best_d[q], best_a[q] = rates[r], d[r], last_a[rows[r]]
-        return rates
+        b_p, hb_p, snr_p = b[p], hb[p], snr[p][:, None]
+        heads = np.flatnonzero(np.diff(p, prepend=-1))  # each design's first row
+        def sum_rates(x: np.ndarray) -> np.ndarray:
+            beta = np.concatenate([x[:, : k - 1], -x[:, : k - 1].sum(axis=1, keepdims=True)], axis=1)
+            theta = np.concatenate([np.zeros((len(x), 1)), x[:, k - 1 :]], axis=1)
+            d = np.exp(beta + 1j * theta)
+            w = last_a[rows]  # warm start: A = A_last U, in integers
+            u_re, u_im, norms = sorted_reduction((b_p * d[:, None, :]) @ (w[:, 0] + 1j * w[:, 1]))
+            last_a[rows] = a = np.stack((w[:, 0] @ u_re - w[:, 1] @ u_im, w[:, 0] @ u_im + w[:, 1] @ u_re), axis=1)
+            a_c = a[:, 0] + 1j * a[:, 1]
+            # H T0 / ||T0||_F with T0 = B D0 A, from the reduced column norms
+            h_eff = (hb_p * d[:, None, :]) @ a_c / np.sqrt(norms.sum(axis=1))[:, None, None]
+            rates = comp_rates(h_eff, a_c, snr_p).sum(axis=1)
+            # per design the first probe strictly better wins, within it the lowest row (stable lexsort)
+            lead = np.lexsort((-rates, p))[heads]
+            r = lead[rates[lead] > best_rate[p[heads]]]
+            q = p[r]
+            best_rate[q], best_d[q], best_a[q] = rates[r], d[r], a[r]
+            return rates
+        return sum_rates
 
     x = np.array(starts, dtype=np.float64).reshape(-1, 2 * (k - 1))
     live = np.arange(len(x))
-    f = sum_rates(x, live)
+    f = scorer(live)(x)
     for _ in range(MAX_SWEEPS):
         if not live.size:
             break
         f_sweep_start = f[live]
-        score = functools.partial(sum_rates, rows=live)
+        score = scorer(live)
         for i in range(2 * (k - 1)):
             xi, fi = _golden_max(score, x[live], i, 1.5 if i < k - 1 else math.pi)
             x[live, i] = np.where(fi > f[live], xi, x[live, i])

@@ -266,12 +266,13 @@ def dpc_capacities(h: ChannelMatrix) -> np.ndarray:
         return _dpc_pairwise(h)[0]
     g = h.gram
     snr = h.snr
-    # [()] makes the 0-d arrays of a single channel numpy scalars, whose arithmetic is faster
+    # [()] makes a single channel's 0-d arrays numpy scalars: fast arithmetic, slow np.where
     g11, g22, g12 = g[..., 0, 0].real[()], g[..., 1, 1].real[()], g[..., 0, 1][()]
     cross = np.hypot(g12.real, g12.imag) ** 2
     det_g = g11 * g22 - cross
-    vertex = 0.5 + (g11 - g22) / (2.0 * snr * np.where(det_g > 0, det_g, 1.0))
-    q = np.where(det_g > 0, np.minimum(np.maximum(vertex, 0.0), 1.0), g11 >= g22)[()]
+    pos = np.heaviside(det_g, 0.0)  # pos x + (1 - pos) y selects exactly for finite x and y
+    vertex = 0.5 + (g11 - g22) / (2.0 * snr * (pos * det_g + (1.0 - pos)))
+    q = pos * np.minimum(np.maximum(vertex, 0.0), 1.0) + (1.0 - pos) * np.heaviside(g11 - g22, 1.0)
     return np.log2(
         (1.0 + snr * q * g11) * (1.0 + snr * (1.0 - q) * g22)
         - snr * snr * q * (1.0 - q) * cross

@@ -221,7 +221,64 @@ def test_reduced_members_skip_the_index_loop(monkeypatch):
     reduced = reduced_generators(4, 4, 100, key=33)
     calls = []
     loop = reduction._lll_one
-    monkeypatch.setattr(reduction, "_lll_one", lambda mu, q, k: calls.append(len(mu)) or loop(mu, q, k))
+    monkeypatch.setattr(reduction, "_lll_one", lambda mu, q, k, kk: calls.append(len(mu)) or loop(mu, q, k, kk))
     assert is_identity(_lll(reduced)).all() and calls == []
     u = _lll(np.concatenate([reduced, column_scaled_generators(4, 4, 1, key=34)]))
     assert calls == [4] and is_identity(u).tolist() == [True] * 100 + [False]
+
+
+def partly_reduced_generators(k, m, n, key):
+    """Reduced bases, certified without the loop, whose last column is
+    replaced by a random one: rows 1 .. K-2 pass the loop's tests, so a member
+    that fails them fails first at row K-1."""
+    reduced = reduced_generators(k, m, n, key)
+    assert is_identity(_lll(reduced)).all()
+    rng = np.random.default_rng([key, k])
+    reduced[:, :, -1] = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * 3.0
+    return reduced
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_index_loop_starts_at_the_first_failing_row(k, monkeypatch):
+    """Partly reduced bases shuffled with random ones: _lll equals the loop run
+    from row 1 on every member, and each partly reduced member that enters
+    the loop starts it at row K-1."""
+    partly = partly_reduced_generators(k, k + 1, 60, key=35)
+    rand = column_scaled_generators(k, k + 1, 60, key=36)
+    order = np.random.default_rng(k).permutation(120)
+    gens = np.concatenate([partly, rand])[order]
+    qnorm = reduction._gram_schmidt(gens)[1].tolist()
+    starts, loop = {}, reduction._lll_one
+
+    def recording_loop(mu, q, k, kk):
+        starts[qnorm.index(q)] = kk
+        return loop(mu, q, k, kk)
+
+    monkeypatch.setattr(reduction, "_lll_one", recording_loop)
+    u = _lll(gens)
+    for n, g in enumerate(gens):
+        ref_re, ref_im = lll_reference(g)
+        assert np.array_equal(u[n, 0], ref_re) and np.array_equal(u[n, 1], ref_im)
+    partly_rows = np.flatnonzero(order < 60)
+    entered = [n for n in partly_rows if n in starts]
+    assert {starts[n] for n in entered} == {k - 1}
+    assert set(partly_rows[~is_identity(u[partly_rows])]) <= set(entered)
+    assert len(entered) >= 30 and len(starts) > len(entered)
+
+
+def test_mixed_stack_matches_reference_and_each_member_alone():
+    """Certified, identity-fallback and reduced members in one call: the
+    sorted U matches the reference, and each member's A and norms are those
+    of the same call on that member alone."""
+    draw = column_scaled_generators(3, 3, 500, key=21)
+    fallback = [n for n, g in enumerate(draw) if sorted_reduction_reference(g)[2]]
+    gens = np.concatenate([reduced_generators(3, 3, 20, key=37), draw[fallback], draw[:20]])
+    gens = gens[np.random.default_rng(37).permutation(len(gens))]
+    bad, fallbacks = reference_mismatches(gens)
+    certified = is_identity(_lll(gens))  # a fallback member's LLL U is not I
+    assert bad == [] and fallbacks >= 1 and certified.sum() >= 1 and (~certified).sum() - fallbacks >= 1
+    a_re, a_im, norms = sorted_reduction(gens)
+    for n in range(len(gens)):
+        one_re, one_im, one_norms = sorted_reduction(gens[n : n + 1])
+        assert np.array_equal(one_re[0], a_re[n]) and np.array_equal(one_im[0], a_im[n])
+        assert np.array_equal(one_norms[0], norms[n])
