@@ -181,13 +181,19 @@ def _closer(lo: np.ndarray, hi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.where(f_lo <= f_hi, lo, hi).astype(np.int64)
 
 
+def _each_distinct(f, n: np.ndarray) -> np.ndarray:
+    """f(v) for each entry v of the integer array n, as an array (also for a 0-d
+    n) shaped n.shape + the shape of f's result; f runs once per distinct v."""
+    distinct = sorted(set(n.ravel().tolist()))
+    return np.array(list(map(f, distinct)))[np.array(distinct).searchsorted(n), ...]
+
+
 def _optimal_n(rho) -> np.ndarray:
     rho = _check_rho(rho)
     x = rho * rho / (1.0 - rho * rho)
-    xs = x.ravel().tolist()
-    lo = np.array([floor_norm_set(v) for v in xs], dtype=np.float64).reshape(x.shape)
-    hi = np.array([ceil_norm_set(v) for v in xs], dtype=np.float64).reshape(x.shape)
-    return _closer(lo, hi, rho)
+    # each scan depends on the floor or the ceiling of x alone
+    lo = _each_distinct(floor_norm_set, np.floor(x).astype(np.int64))
+    return _closer(lo, _each_distinct(ceil_norm_set, np.ceil(x).astype(np.int64)), rho)
 
 
 def optimal_n(rho: float) -> int:
@@ -212,9 +218,8 @@ def _lower_unimodular(a21_re, a21_im) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _optimal_a(rho) -> tuple[np.ndarray, np.ndarray]:
-    n = _optimal_n(rho)
-    a21 = np.array([two_square_decomp(v) for v in n.ravel().tolist()], dtype=np.int64)
-    return _lower_unimodular(a21[:, 0].reshape(n.shape), a21[:, 1].reshape(n.shape))
+    a21 = _each_distinct(two_square_decomp, _optimal_n(rho))
+    return _lower_unimodular(a21[..., 0], a21[..., 1])
 
 
 def _optimal_a_real(rho) -> tuple[np.ndarray, np.ndarray]:

@@ -189,17 +189,18 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[Results, list[
 
 
 def write_trials_csv(path, results: Results) -> None:
-    """trials.csv from the arrays of results, in their C order.  Each float
-    is formatted once, as %.12g (the bytes of f"{x:.12g}")."""
-    lines = [TRIALS_HEADER]
+    """trials.csv from the arrays of results, in their C order, each float as
+    %.12g (the bytes of f"{x:.12g}"): a template per scheme holds each line's
+    trial, rho and wall_ms, and each SNR fills in its prefix and, by one %, its rates."""
+    chunks = [TRIALS_HEADER + "\n"]
     trial_rho = [f"{t},{r:.12g}" for t, r in zip(results.trials.tolist(), results.rho.tolist())]
     for i, scheme in enumerate(results.schemes):
-        walls = [f"{w:.12g}" for w in results.wall_ms[i].tolist()]
-        for j, snr_db in enumerate(results.snr_db):
-            sums, gaps = results.sum_rate[i, j].tolist(), results.gap[i, j].tolist()
-            line = f"{scheme},{snr_db:.12g},%s,%.12g,%.12g,%s".__mod__
-            lines += map(line, zip(trial_rho, sums, gaps, walls))
-    Path(path).write_text("\n".join(lines) + "\n")
+        walls = results.wall_ms[i].tolist()
+        body = "".join(f"@,{tr},%.12g,%.12g,{w:.12g}\n" for tr, w in zip(trial_rho, walls))
+        sum_gap = np.stack((results.sum_rate[i], results.gap[i]), axis=-1)
+        for snr_db, values in zip(results.snr_db, sum_gap.reshape(len(sum_gap), -1).tolist()):
+            chunks.append(body.replace("@", f"{scheme},{snr_db:.12g}") % tuple(values))
+    Path(path).write_text("".join(chunks))
 
 
 def write_aggregate_csv(path, aggregate) -> None:

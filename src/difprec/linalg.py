@@ -2,10 +2,12 @@
 
 All matrices are complex128 numpy arrays (row-major), either one 2-D matrix
 or a (..., n, n) stack of them.  Inverse and determinant are numpy's; what
-this module adds is one singularity rule for every size, so that "singular"
-means the same thing to every caller: a matrix is singular when its smallest
-singular value is at most PIVOT_RTOL times its largest.  Such a matrix has no
-inverse and determinant 0.
+this module adds is one singularity rule for every size and every caller: a
+matrix is singular, with no inverse and determinant 0, when its smallest
+singular value is at most PIVOT_RTOL times its largest.  inverse decides the
+rule by a norm bound first: s_max <= ||m||_F and s_min >= 1/||m^-1||_F, so
+||m||_F ||m^-1||_F < 0.5/PIVOT_RTOL (half, for the error of the computed m^-1)
+proves a matrix regular; the SVD decides the rest.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ def gram(m: np.ndarray) -> np.ndarray:
     return m @ m.swapaxes(-1, -2).conj()
 
 
-def frob_norm_sq(m: np.ndarray) -> float:
-    return float(np.sum(np.abs(m) ** 2))
+def frob_norm_sq(m: np.ndarray):
+    """Squared Frobenius norm of a matrix (a float), or of each member of a stack."""
+    return np.sum(np.abs(m) ** 2, axis=(-2, -1))
 
 
 def _is_singular(m: np.ndarray) -> np.ndarray:
@@ -61,14 +64,24 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
     A single singular matrix raises SingularMatrixError.  In a stack, the
     singular members come back filled with NaN instead, so one singular member
-    does not cost the others their inverses.
+    does not cost the others their inverses.  The norm bound decides the rule
+    first, keeping LAPACK's inverse of each member it proves regular, and the
+    SVD decides the rest: all members when LAPACK meets an exactly singular one.
     """
-    singular = _is_singular(m)
-    if m.ndim == 2:
-        if singular:
-            raise SingularMatrixError()
-        return np.linalg.inv(m).astype(np.complex128, copy=False)
-    inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(m.shape[-1]), m))
-    inv = inv.astype(np.complex128, copy=False)
+    try:
+        inv = np.linalg.inv(m).astype(np.complex128, copy=False)
+    except np.linalg.LinAlgError:  # not square, or an exactly singular member
+        singular = _is_singular(m)
+        inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(m.shape[-1]), m))
+        inv = inv.astype(np.complex128, copy=False)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cleared = frob_norm_sq(m) * frob_norm_sq(inv) < (0.5 / PIVOT_RTOL) ** 2
+        if cleared.all():
+            return inv
+        singular = np.zeros_like(cleared)
+        singular[~cleared] = _is_singular(m[~cleared])
+    if m.ndim == 2 and singular:
+        raise SingularMatrixError()
     inv[singular] = np.nan
     return inv

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from difprec.designer import (
+    RHO_MAX,
+    _optimal_a,
+    _optimal_n,
     asymptotic_gap,
     build_precoder,
     design_dif_2user,
@@ -21,7 +24,14 @@ from difprec.designer import (
     rho_of_channel,
     transition_rho,
 )
-from difprec.gaussint import GaussInt, IntegerCoeffMatrix
+from difprec.gaussint import (
+    GaussInt,
+    IntegerCoeffMatrix,
+    ceil_norm_set,
+    floor_norm_set,
+    in_norm_set,
+    two_square_decomp,
+)
 from difprec.linalg import frob_norm_sq
 from difprec.rates import ChannelMatrix, DiagonalScale, dpc_sum_capacity, hi_snr_sum_capacity
 
@@ -125,6 +135,38 @@ def test_optimal_n_is_piecewise_on_transitions():
         lo = transition_rho(n)
         mid = lo + 1e-6
         assert optimal_n(mid) == n
+
+
+def optimal_n_by_definition(rho: float) -> int:
+    """The two-squares members around x = rho^2/(1 - rho^2), the one with the
+    smaller sqrt(N + 1) - rho sqrt(N), ties to the lower."""
+    x = rho * rho / (1.0 - rho * rho)
+    lo, hi = floor_norm_set(x), ceil_norm_set(x)
+    f_lo, f_hi = (math.sqrt(n + 1.0) - rho * math.sqrt(n) for n in (lo, hi))
+    return lo if f_lo <= f_hi else hi
+
+
+def test_stacked_optimal_n_and_a_equal_scalar_calls():
+    """A (T, S) stack of correlations, with repeats, 0, RHO_MAX and every
+    transition of the first 50 members of the two-squares set with its
+    neighbours one ulp either side: at each point the stacked N and A equal
+    the scalar calls' and the definition's."""
+    members = [n for n in range(1, 200) if in_norm_set(n)][:50]
+    transitions = [transition_rho(n) for n in members]
+    edges = [r for t in transitions for r in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))]
+    rng = np.random.default_rng(17)
+    values = np.concatenate([[0.0, RHO_MAX], edges, rng.uniform(0.0, 0.99, 40)])
+    rho = rng.permutation(np.concatenate([values, values[::3]])).reshape(16, 16)
+    n = _optimal_n(rho)
+    a_re, a_im = _optimal_a(rho)
+    assert n.shape == rho.shape and a_re.shape == a_im.shape == rho.shape + (2, 2)
+    for i, j in np.ndindex(rho.shape):
+        r = float(rho[i, j])
+        assert n[i, j] == optimal_n(r) == optimal_n_by_definition(r)
+        assert IntegerCoeffMatrix(a_re[i, j], a_im[i, j]) == optimal_a_2user(r)
+        g = two_square_decomp(int(n[i, j]))
+        assert np.array_equal(a_re[i, j], [[1, 0], [g.re, 1]])
+        assert np.array_equal(a_im[i, j], [[0, 0], [g.im, 0]])
 
 
 def test_optimal_a_2user_examples():

@@ -130,3 +130,46 @@ def test_cmatrix_validation():
         linalg.cmatrix([1, 2, 3])
     with pytest.raises(ValueError):
         linalg.cmatrix([[np.inf, 0], [0, 1]])
+
+
+def conditioned_stack(rng, n, conds):
+    """U diag(s) V^H members with s log-spaced from 1 down to 1/cond."""
+    def unitary():
+        return np.linalg.qr(rand_cmatrix(rng, n))[0]
+
+    members = [unitary() @ np.diag(np.geomspace(1.0, 1.0 / c, n)) @ unitary().conj().T for c in conds]
+    return np.array(members)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_norm_bound_agrees_with_svd_rule(n):
+    """inverse clears members by ||m||_F ||m^-1||_F < 0.5/PIVOT_RTOL before any
+    SVD; the members it marks singular must be exactly those _is_singular
+    marks, with condition numbers on both sides of the bound's 5e11 and the
+    rule's 1e12, and every other member must be np.linalg.inv of it alone."""
+    rng = np.random.default_rng(30 + n)
+    # log-spaced over 1e9-1e15, and dense within 2e-4 of the rule's 1e12, where
+    # the computed m^-1 and the SVD each err by about 1e-4 of the condition number
+    near_rule = 1e12 * (1.0 + np.linspace(-2e-4, 2e-4, 200))
+    conds = np.concatenate([np.geomspace(1e9, 1e15, 61), near_rule])
+    base = conditioned_stack(rng, n, conds)
+    zero_row = base[len(base) // 2].copy()
+    zero_row[n // 2] = 0.0  # makes np.linalg.inv raise for a whole stack holding it
+    with_zero_row = np.concatenate([base, zero_row[None]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(with_zero_row)
+    for stack in (base, with_zero_row, with_zero_row.reshape(-1, 2, n, n)):
+        singular = linalg._is_singular(stack)
+        assert singular.any() and not singular.all()
+        inv = linalg.inverse(stack)
+        assert (np.isnan(inv).all(axis=(-2, -1)) == singular).all()
+        assert not np.isnan(inv[~singular]).any()
+        members, inverses = stack[~singular], inv[~singular]
+        for member, member_inv in zip(members, inverses):
+            assert np.array_equal(member_inv, np.linalg.inv(member))
+    for member, singular in zip(with_zero_row, linalg._is_singular(with_zero_row)):
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse(member)
+        else:
+            assert np.array_equal(linalg.inverse(member), np.linalg.inv(member))
