@@ -125,12 +125,12 @@ def precode(
     on an ill-conditioned channel to overrun the budget or report a rate
     above capacity.
     """
-    y = h.inv_gram(regularized) @ (d[..., :, None] * (a_re + 1j * a_im))
-    t = h.herm @ y
+    y = linalg.matmul(h.inv_gram(regularized), d[..., :, None] * (a_re + 1j * a_im))
+    t = linalg.matmul(h.herm, y)
     power = (t.conj() * t).real.sum(axis=(-2, -1))
     c = 1.0 / np.sqrt(power)
     y = c[..., None, None] * y
-    rates = if_rates(h.rows @ (c[..., None, None] * t), a_re, a_im, h.snr, c * c * power)
+    rates = if_rates(linalg.matmul(h.rows, c[..., None, None] * t), a_re, a_im, h.snr, c * c * power)
     return PrecoderStack(a_re, a_im, d, c, y, rates)
 
 

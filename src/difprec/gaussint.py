@@ -28,26 +28,17 @@ class GaussInt(NamedTuple):
     def __add__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
-
     def conj(self) -> "GaussInt":
         return GaussInt(self.re, -self.im)
 
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
 
 
 @lru_cache(maxsize=65536)

@@ -191,16 +191,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[Results, list[
 def write_trials_csv(path, results: Results) -> None:
     """trials.csv from the arrays of results, in their C order, each float as
     %.12g (the bytes of f"{x:.12g}"): a template per scheme holds each line's
-    trial, rho and wall_ms, and each SNR fills in its prefix and, by one %, its rates."""
-    chunks = [TRIALS_HEADER + "\n"]
+    trial, rho and wall_ms, and each SNR fills in its prefix and, by one %, its
+    rates: one chunk per (scheme, SNR), written to the open file."""
     trial_rho = [f"{t},{r:.12g}" for t, r in zip(results.trials.tolist(), results.rho.tolist())]
-    for i, scheme in enumerate(results.schemes):
-        walls = results.wall_ms[i].tolist()
-        body = "".join(f"@,{tr},%.12g,%.12g,{w:.12g}\n" for tr, w in zip(trial_rho, walls))
-        sum_gap = np.stack((results.sum_rate[i], results.gap[i]), axis=-1)
-        for snr_db, values in zip(results.snr_db, sum_gap.reshape(len(sum_gap), -1).tolist()):
-            chunks.append(body.replace("@", f"{scheme},{snr_db:.12g}") % tuple(values))
-    Path(path).write_text("".join(chunks))
+    with open(path, "w") as f:
+        f.write(TRIALS_HEADER + "\n")
+        for i, scheme in enumerate(results.schemes):
+            walls = results.wall_ms[i].tolist()
+            body = "".join(f"@,{tr},%.12g,%.12g,{w:.12g}\n" for tr, w in zip(trial_rho, walls))
+            sum_gap = np.stack((results.sum_rate[i], results.gap[i]), axis=-1)
+            for snr_db, values in zip(results.snr_db, sum_gap):
+                f.write(body.replace("@", f"{scheme},{snr_db:.12g}") % tuple(values.ravel().tolist()))
 
 
 def write_aggregate_csv(path, aggregate) -> None:

@@ -39,6 +39,18 @@ def gram(m: np.ndarray) -> np.ndarray:
     return m @ m.swapaxes(-1, -2).conj()
 
 
+def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, with its broadcasting, summed term by term over the inner axis:
+    the same elementwise arithmetic for every member, whatever the stack
+    (BLAS picks its kernel by shape), and no BLAS call per member of a small stack."""
+    if x.shape[-1] != y.shape[-2]:
+        raise ValueError(f"matmul: inner dimensions {x.shape[-1]} and {y.shape[-2]} differ")
+    out = x[..., :, 0, None] * y[..., None, 0, :]
+    for j in range(1, x.shape[-1]):
+        out += x[..., :, j, None] * y[..., None, j, :]
+    return out
+
+
 def frob_norm_sq(m: np.ndarray):
     """Squared Frobenius norm of a matrix (a float), or of each member of a stack."""
     return np.sum(np.abs(m) ** 2, axis=(-2, -1))

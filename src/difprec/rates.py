@@ -120,7 +120,7 @@ class RateReport:
 
     def __post_init__(self):
         per_user = np.asarray(self.per_user, dtype=np.float64)
-        if per_user.ndim != 1 or np.any(per_user < 0) or not np.all(np.isfinite(per_user)):
+        if per_user.ndim != 1 or (per_user < 0).any() or not np.isfinite(per_user).all():
             raise ValueError("per-user rates must be finite and nonnegative")
         object.__setattr__(self, "per_user", per_user)
         object.__setattr__(self, "sum_rate", float(per_user.sum()))
@@ -143,19 +143,12 @@ class DiagonalScale:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError("c must be positive and finite")
         if self.unit_det:
-            if np.any(d == 0):
+            if (d == 0).any():
                 raise ValueError("unit-det scale requires nonzero entries")
-            prod = float(np.prod(np.abs(d)))
+            prod = float(np.abs(d).prod())
             if abs(prod - 1.0) > 1e-12:
                 raise ValueError(f"|det| = {prod} but unit-det scale requires 1")
         object.__setattr__(self, "d", d)
-
-    @property
-    def k(self) -> int:
-        return self.d.shape[0]
-
-    def final_entries(self) -> np.ndarray:
-        return self.c * self.d
 
 
 def optimal_alpha(h_eff: np.ndarray, a: np.ndarray, snr: float) -> complex:
@@ -241,7 +234,7 @@ def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = 
 
     sum_i log2+ (1/||a_i||^2 + |d_i|^2 snr).
     """
-    entries = d.final_entries()
+    entries = d.c * d.d
     if np.any(entries == 0):
         raise ValueError("diagonal entries must be nonzero")
     if entries.shape[0] != a.k:

@@ -14,12 +14,15 @@ reduced columns are g @ U.  sorted_reduction sorts them by image norm.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .gaussint import IntegerCoeffMatrix
 
 _MAX_STEPS = 100000
 LLL_DELTA = 0.99
+_upper = cache(lambda k: ~np.tri(k, k, -1, dtype=bool))  # a K x K diagonal and upper triangle
 
 
 def _col_norm_sq(g: np.ndarray) -> np.ndarray:
@@ -30,13 +33,13 @@ def _col_norm_sq(g: np.ndarray) -> np.ndarray:
 
 
 def _gram_schmidt(g: np.ndarray):
-    """R of a batched QR of an (N, M, K) stack, the squared Gram-Schmidt norms
-    |r_jj|^2, the squared column norms and the rank-deficient members: a
-    squared Gram-Schmidt norm at most 1e-24 times the largest column's."""
-    r = np.linalg.qr(g, mode="r")
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    """R^T of a batched QR of an (N, M, K) stack (N, K, K), lower triangle only,
+    the squared Gram-Schmidt norms |r_jj|^2, the squared column norms and the rank-
+    deficient members: a squared Gram-Schmidt norm at most 1e-24 times the largest column's."""
+    rt = np.linalg.qr(g, mode="raw")[0][..., : g.shape[-1]]
+    diag = np.diagonal(rt, axis1=-2, axis2=-1)
     qnorm, cols = diag.real**2 + diag.imag**2, _col_norm_sq(g)
-    return r, qnorm, cols, qnorm.min(axis=-1) <= 1e-24 * cols.max(axis=-1)
+    return rt, qnorm, cols, qnorm.min(axis=-1) <= 1e-24 * cols.max(axis=-1)
 
 
 def rank_deficient(g: np.ndarray) -> np.ndarray:
@@ -97,11 +100,11 @@ def _reduce(g: np.ndarray):
     norms (N, K), the members that fail the loop's tests and their U, column
     by column (n, K, 2K).  Raises ValueError if a member is rank deficient."""
     k = g.shape[-1]
-    r, qnorm, cols, deficient = _gram_schmidt(g)
+    rt, qnorm, cols, deficient = _gram_schmidt(g)
     if deficient.any():
         raise ValueError("generator matrix is rank deficient")
-    mu = np.divide(np.swapaxes(r, -2, -1), np.diagonal(r, axis1=-2, axis2=-1)[..., None, :], order="C")
-    mu.reshape(len(g), -1)[:, :: k + 1] = 0  # the loop reads only below the diagonal
+    mu = np.divide(rt, np.diagonal(rt, axis1=-2, axis2=-1)[..., None, :], order="C")
+    mu[:, _upper(k)] = 0  # the loop reads only below the diagonal
     # the loop's tests per row, 1e-12 stricter so that numpy's rounding never passes a swap
     ok = (abs(mu.view(np.float64)) <= 0.5).all(axis=-1)  # |Re|, |Im| <= 1/2
     sub = np.diagonal(mu, -1, axis1=-2, axis2=-1)

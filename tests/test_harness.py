@@ -1,7 +1,9 @@
 """Harness: channel statistics, determinism, CSV contracts, CLI round trip."""
 
+import dataclasses
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,25 @@ def test_two_user_output_does_not_depend_on_the_chunking(tmp_path, monkeypatch):
         np.testing.assert_array_equal(solo.gap[..., 0], res.gap[..., t], strict=True)
 
 
+def test_two_user_records_do_not_depend_on_the_snr_grid():
+    """Every scheme's record at an SNR run alone is bit for bit that SNR's
+    column in a run of the same trials over several SNRs, and that of its
+    (trial, SNR) point run alone: stacks of 300, 60 and 1 points."""
+    cfg = ExperimentConfig(
+        snr_db=(-10.0, -2.5, 7.5, 22.5, 40.0), trials=60, schemes=harness.ALL_SCHEMES, seed=9
+    )
+    trials = list(range(cfg.trials))
+    res = run_trials(cfg, trials)
+    for j, snr_db in enumerate(res.snr_db):
+        one_snr = dataclasses.replace(cfg, snr_db=(snr_db,))
+        solo = run_trials(one_snr, trials)
+        np.testing.assert_array_equal(solo.rho, res.rho, strict=True)
+        np.testing.assert_array_equal(solo.sum_rate[:, 0], res.sum_rate[:, j], strict=True)
+        np.testing.assert_array_equal(solo.gap[:, 0], res.gap[:, j], strict=True)
+        point = run_trials(one_snr, [7 * j])
+        np.testing.assert_array_equal(point.sum_rate[:, 0, 0], res.sum_rate[:, j, 7 * j], strict=True)
+
+
 def reference_write_trials_csv(path, rows) -> None:
     """The per-record f-string writer that write_trials_csv replaced, on the
     (scheme, snr_db, trial, rho, sum rate, gap, wall_ms) rows of record_rows."""
@@ -270,6 +291,31 @@ def test_trials_csv_matches_the_per_record_writer(tmp_path):
         assert new.read_bytes() == old.read_bytes()
     fields = set((tmp_path / "synthetic_new.csv").read_text().replace("\n", ",").split(","))
     assert {"nan", "inf", "-inf", "-0", "1e-300", "1e+300", "3", "0.666666666667"} <= fields
+
+
+def test_trials_csv_is_streamed(tmp_path):
+    """Writing the records of a 600-trial, 21-SNR, 7-scheme run peaks below a
+    quarter of the size of the file it writes (Python and numpy allocations)."""
+    rng = np.random.default_rng(5)
+    shape = (len(harness.ALL_SCHEMES), 21, 600)
+    results = harness.Results(
+        schemes=tuple(sorted(harness.ALL_SCHEMES)),
+        snr_db=tuple(np.arange(-10.0, 40.0 + 1e-9, 2.5).tolist()),
+        trials=np.arange(shape[2]),
+        rho=rng.random(shape[2]),
+        sum_rate=20.0 * rng.random(shape),
+        gap=rng.random(shape),
+        wall_ms=1e-3 * rng.random(shape[::2]),
+    )
+    path = tmp_path / "trials.csv"
+    tracemalloc.start()
+    try:
+        write_trials_csv(path, results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(path.read_text().splitlines()) == 1 + results.sum_rate.size
+    assert peak < path.stat().st_size / 4
 
 
 def test_csv_headers_and_determinism(tmp_path):

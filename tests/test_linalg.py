@@ -125,6 +125,49 @@ def test_gram_of_unitary_is_identity():
     assert np.allclose(linalg.gram(q), np.eye(4), atol=1e-12)
 
 
+def assert_matmul_matches_numpy(x, y):
+    """linalg.matmul(x, y) has the shape and dtype of x @ y and lies within
+    4 K eps (|x| @ |y|) of it per element, with K the inner dimension."""
+    out, ref = linalg.matmul(x, y), x @ y
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    bound = 4 * x.shape[-1] * np.finfo(np.float64).eps * (np.abs(x) @ np.abs(y))
+    assert (np.abs(out - ref) <= bound).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_matmul_matches_numpy_on_stacks(k):
+    rng = np.random.default_rng(40 + k)
+    stack = lambda *shape: rand_cmatrix(rng, int(np.prod(shape[:-1])), shape[-1]).reshape(shape)  # noqa: E731
+    per_trial, per_point, constant = stack(6, 1, k, k), stack(6, 5, k, k), stack(k, k)
+    assert_matmul_matches_numpy(per_trial, per_point)  # (T, 1, K, K) @ (T, S, K, K)
+    assert_matmul_matches_numpy(per_point, per_trial)
+    assert_matmul_matches_numpy(constant, per_point)
+    assert_matmul_matches_numpy(per_point, constant)
+    assert_matmul_matches_numpy(constant, stack(k, k))  # 2-D operands
+    integers = rng.integers(-3, 4, (6, 5, k, k))
+    assert_matmul_matches_numpy(per_trial, integers)
+    assert np.array_equal(linalg.matmul(integers, integers), integers @ integers)
+    for m in range(k, 9):  # rectangular (K x M) @ (M x K), alone and stacked
+        assert_matmul_matches_numpy(stack(k, m), stack(m, k))
+        assert_matmul_matches_numpy(stack(6, 1, k, m), stack(6, 5, m, k))
+    with pytest.raises(ValueError):
+        linalg.matmul(stack(k, k), stack(k + 1, k))
+
+
+def test_matmul_keeps_nan_members():
+    """The NaN members of a stack of inverse Gram matrices (singular channels)
+    give NaN products; the others are untouched."""
+    rng = np.random.default_rng(47)
+    m = rand_cmatrix(rng, 8 * 2, 2).reshape(4, 2, 2, 2)
+    m[1, 0] = m[3, 1] = np.nan
+    y = rand_cmatrix(rng, 8 * 2, 2).reshape(4, 2, 2, 2)
+    out = linalg.matmul(m, y)
+    nan = np.isnan(m).all(axis=(-2, -1))
+    assert np.isnan(out[nan]).all()
+    assert not np.isnan(out[~nan]).any()
+    assert_matmul_matches_numpy(m[~nan], y[~nan])
+
+
 def test_cmatrix_validation():
     with pytest.raises(ValueError):
         linalg.cmatrix([1, 2, 3])
