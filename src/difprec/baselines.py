@@ -21,14 +21,15 @@ def _waterfill(inv_gains: np.ndarray, budget) -> np.ndarray:
 
     With the floors sorted, filling only the n smallest gives the level
     mu_n = (budget + their sum) / n; the active set is the largest n whose
-    level lies above its own largest floor.
+    level lies above its own largest floor.  An infinite floor (a zero gain)
+    gets no power, also when every floor is infinite.
     """
     floors = np.sort(inv_gains, axis=-1)
     n = floors.shape[-1]
     levels = (np.expand_dims(budget, -1) + np.cumsum(floors, axis=-1)) / np.arange(1, n + 1)
     active = n - 1 - np.argmax((levels > floors)[..., ::-1], axis=-1)
     mu = np.take_along_axis(levels, active[..., None], axis=-1)
-    return np.maximum(mu - inv_gains, 0.0)
+    return np.maximum(np.minimum(mu, np.finfo(np.float64).max) - inv_gains, 0.0)
 
 
 def _identity(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +52,7 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
 
 def design_zf(h: ChannelMatrix) -> PrecoderDesign:
     """Zero-forcing with water-filled power loading (see zf_stack)."""
-    return zf_stack(h).design(h, "zf", regularized=False, unit_det=False)
+    return zf_stack(h).design("zf", regularized=False, unit_det=False)
 
 
 def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
@@ -66,18 +67,19 @@ def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
 
 def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
     """Regularized zero-forcing with uniform loading (see rzf_stack)."""
-    return rzf_stack(h).design(h, "rzf", regularized=True)
+    return rzf_stack(h).design("rzf", regularized=True)
 
 
 def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
     """Zero-forcing dirty-paper per-user rates (..., K) at every point of h.
 
     H = L Q with L lower triangular and Q row-orthonormal (natural user
-    order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr.
+    order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr; none to a zero gain.
     """
     _, r = np.linalg.qr(h.herm, mode="reduced")
     gains = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) ** 2
-    rates = np.log2(1.0 + gains * _waterfill(1.0 / gains, h.snr))
+    inv_gains = np.divide(1.0, gains, out=np.full_like(gains, np.inf), where=gains > 0.0)
+    rates = np.log2(1.0 + gains * _waterfill(inv_gains, h.snr))
     _check_rates(rates)
     return rates
 

@@ -23,9 +23,11 @@ from .harness import (
     write_trials_csv,
 )
 
+MAX_SNR_POINTS = 10**6  # values a range spec may give: far more than a run can finish
+
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:
-    """Parse '0,5,10' or 'start:step:stop' (stop inclusive) into dB values."""
+    """Parse '0,5,10' or 'start:step:stop' (stop inclusive, counted before it is built) into dB values."""
     spec = spec.strip()
     if ":" in spec:
         parts = spec.split(":")
@@ -34,6 +36,8 @@ def parse_snr_spec(spec: str) -> tuple[float, ...]:
         start, step, stop = (float(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError("range spec needs step > 0 and stop >= start")
+        if not (stop - start) / step < MAX_SNR_POINTS:
+            raise ValueError(f"range spec gives more than {MAX_SNR_POINTS} SNR values")
         return tuple(np.arange(start, stop + step * 1e-9, step))
     return tuple(float(p) for p in spec.split(","))
 

@@ -35,7 +35,6 @@ from .rates import (
     ChannelMatrix,
     DiagonalScale,
     RateReport,
-    _norm_sq,
     comp_rates,
     if_rates,
     log2_pos,
@@ -72,42 +71,34 @@ class PrecoderStack:
     Leading axes are those of the points, (T, S) or (S,), and (T, 1) or none
     for what does not vary with SNR (see ChannelMatrix).
     a_re, a_im: integer parts of A (..., K, K); d: diagonal of D0 (..., K);
-    c: power scale (...); y = c M D0 A (..., K, K), so that T = H^H y;
-    rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient.
+    c: power scale (...); t: T (..., M, K), the precoder the rates are of;
+    rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient or H = 0.
     """
 
     a_re: np.ndarray
     a_im: np.ndarray
     d: np.ndarray
     c: np.ndarray
-    y: np.ndarray
+    t: np.ndarray
     rates: np.ndarray
 
     def design(
-        self,
-        h: ChannelMatrix,
-        scheme: str,
-        regularized: bool,
-        unit_det: bool = True,
-        rho: float = math.nan,
+        self, scheme: str, regularized: bool, unit_det: bool = True, rho: float = math.nan
     ) -> PrecoderDesign:
-        """The PrecoderDesign of a stack built for a channel at a single SNR."""
+        """The PrecoderDesign of a stack built for a channel at a single SNR.
+        Raises linalg.SingularMatrixError where the stack's rates are NaN."""
+        if np.isnan(self.rates).any():
+            raise linalg.SingularMatrixError()
         c = float(self.c)
         return PrecoderDesign(
             a=IntegerCoeffMatrix(self.a_re, self.a_im),
             d0=DiagonalScale(self.d, c=c, unit_det=unit_det),
             c=c,
-            t=h.herm @ self.y,
+            t=self.t,
             rates=RateReport(scheme, self.rates),
             regularized=regularized,
             rho=rho,
         )
-
-    def where(self, mask: np.ndarray, other: PrecoderStack) -> PrecoderStack:
-        """This stack at the points where mask holds, other elsewhere."""
-        tails = (2, 2, 1, 0, 2, 1)  # axes after the points' in a_re, a_im, d, c, y, rates
-        fields = zip(tails, vars(self).values(), vars(other).values())
-        return PrecoderStack(*(np.where(mask[(...,) + (None,) * n], x, y) for n, x, y in fields))
 
 
 def precode(
@@ -118,26 +109,27 @@ def precode(
     regularized: bool = False,
 ) -> PrecoderStack:
     """T = c H^H M D0 A at every point of h, with D0 = diag(d) and c
-    saturating the unit power budget.
+    saturating the unit power budget: the one place a precoder is formed,
+    normed and rated, so that if_sum_rate(h, T, A) gives its rates bit for bit.
 
     The power and the effective channel H T are taken from T itself: formed
     through G = H H^H (as y^H G y and G y) they lose about cond(G) eps, enough
     on an ill-conditioned channel to overrun the budget or report a rate
-    above capacity.
+    above capacity.  A zero T (H = 0) has no c and NaN rates.
     """
     y = linalg.matmul(h.inv_gram(regularized), d[..., :, None] * (a_re + 1j * a_im))
     t = linalg.matmul(h.herm, y)
-    power = (t.conj() * t).real.sum(axis=(-2, -1))
-    c = 1.0 / np.sqrt(power)
-    y = c[..., None, None] * y
-    rates = if_rates(linalg.matmul(h.rows, c[..., None, None] * t), a_re, a_im, h.snr, c * c * power)
-    return PrecoderStack(a_re, a_im, d, c, y, rates)
+    power = linalg.frob_norm_sq(t)
+    c = 1.0 / np.sqrt(np.where(power > 0.0, power, np.nan))
+    t = c[..., None, None] * t
+    rates = if_rates(linalg.matmul(h.rows, t), a_re, a_im, h.snr, c * c * power)
+    return PrecoderStack(a_re, a_im, d, c, t, rates)
 
 
 def _rho(x: np.ndarray) -> np.ndarray:
-    """|X_12| / sqrt(X_11 X_22) over a (..., 2, 2) stack, clamped to RHO_MAX."""
-    x12 = x[..., 0, 1]
-    rho = np.hypot(x12.real, x12.imag) / np.sqrt(x[..., 0, 0].real * x[..., 1, 1].real)
+    """|X_12| / sqrt(X_11 X_22) over a (..., 2, 2) stack, clamped to RHO_MAX; 0 where X_11 X_22 = 0."""
+    x12, scale = x[..., 0, 1], np.sqrt(x[..., 0, 0].real * x[..., 1, 1].real)
+    rho = np.hypot(x12.real, x12.imag) / np.where(scale > 0.0, scale, np.inf)
     return np.minimum(rho, RHO_MAX)
 
 
@@ -147,7 +139,7 @@ def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
     Both variants are |X_12| / sqrt(X_11 X_22): the plain one with X = H H^H,
     the regularized one with X = M = (K/snr I + H H^H)^-1, which tends to the
     plain value at high SNR.  The plain variant never inverts, so a singular
-    channel gets rho = RHO_MAX.
+    channel gets rho = RHO_MAX, or 0 if a row is zero.
     """
     if h.k != 2:
         raise ValueError("rho is defined for two-user channels")
@@ -157,7 +149,7 @@ def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
 def _f_of_a(a_re: np.ndarray, a_im: np.ndarray, rho) -> np.ndarray:
     a = a_re + 1j * a_im
     a1, a2 = a[..., 0, :], a[..., 1, :]
-    norms = _norm_sq(a1) * _norm_sq(a2)
+    norms = linalg.norm_sq(a1) * linalg.norm_sq(a2)
     cross = (a1.conj() * a2).sum(axis=-1)
     return np.sqrt(norms) - rho * np.hypot(cross.real, cross.imag)
 
@@ -254,9 +246,9 @@ def optimal_a_2user_real(rho: float) -> IntegerCoeffMatrix:
 
 def _optimal_d0(m: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:
     # exp(4 beta) = ||a_2||^2 M_22 / (||a_1||^2 M_11)
-    v = (a_re**2 + a_im**2).sum(axis=-1) * np.diagonal(m, axis1=-2, axis2=-1).real
-    d1 = np.sqrt(np.sqrt(v[..., 1] / v[..., 0]))
     a = a_re + 1j * a_im
+    v = linalg.norm_sq(a) * np.diagonal(m, axis1=-2, axis2=-1).real
+    d1 = np.sqrt(np.sqrt(v[..., 1] / v[..., 0]))
     cross = (a[..., 0, :].conj() * a[..., 1, :]).sum(axis=-1) * m[..., 0, 1]
     dtheta = np.where(cross == 0, 0.0, -np.arctan2(-cross.imag, -cross.real))
     d = np.empty(np.shape(d1) + (2,), dtype=np.complex128)
@@ -295,7 +287,7 @@ def build_precoder(
         raise ValueError("build_precoder expects a unit-|det| diagonal")
     if scheme is None:
         scheme = "rdif" if regularized else "dif"
-    return precode(h, d0.d, a.re, a.im, regularized).design(h, scheme, regularized)
+    return precode(h, d0.d, a.re, a.im, regularized).design(scheme, regularized)
 
 
 def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> float:
@@ -338,7 +330,7 @@ def design_dif_2user(
     """Closed-form two-user design at the single SNR of h (see dif_2user_stack)."""
     scheme = ("rdif" if regularized else "dif") + ("_real" if real_constraint else "")
     stack = dif_2user_stack(h, regularized, real_constraint)
-    return stack.design(h, scheme, regularized, rho=rho_of_channel(h))
+    return stack.design(scheme, regularized, rho=rho_of_channel(h))
 
 
 def asymptotic_gaps(rho, real_constraint: bool = False) -> np.ndarray:
@@ -470,11 +462,13 @@ def dif_generalk_stack(
             f[live] = np.maximum(fi, f[live])
         live = live[f[live] - f_sweep_start >= SWEEP_GAIN_BITS]
 
-    a = best_a.reshape(shape + (2, k, k))
-    stack = precode(h, best_d.reshape(shape + (k,)), a[..., 0, :, :], a[..., 1, :, :], regularized)
-    if k == 2:
-        return analytic.where(analytic.rates.sum(axis=-1) > stack.rates.sum(axis=-1), stack)
-    return stack
+    a, d = best_a.reshape(shape + (2, k, k)), best_d.reshape(shape + (k,))
+    if k == 2:  # the closed-form design wherever it rates higher
+        searched = precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized).rates
+        won = analytic.rates.sum(axis=-1) > searched.sum(axis=-1)
+        d = np.where(won[..., None], analytic.d, d)
+        a = np.where(won[..., None, None, None], np.stack((analytic.a_re, analytic.a_im), axis=-3), a)
+    return precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized)
 
 
 def design_dif_generalk(
@@ -484,7 +478,5 @@ def design_dif_generalk(
     dif_generalk_stack).  Raises linalg.SingularMatrixError if M is singular
     or H^H M rank deficient."""
     stack = dif_generalk_stack(h, [seed], regularized, restarts)
-    if np.isnan(stack.rates).any():
-        raise linalg.SingularMatrixError()
     rho = rho_of_channel(h) if h.k == 2 else math.nan
-    return stack.design(h, "rdif" if regularized else "dif", regularized, rho=rho)
+    return stack.design("rdif" if regularized else "dif", regularized, rho=rho)

@@ -42,7 +42,10 @@ def gram(m: np.ndarray) -> np.ndarray:
 def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y, with its broadcasting, summed term by term over the inner axis:
     the same elementwise arithmetic for every member, whatever the stack
-    (BLAS picks its kernel by shape), and no BLAS call per member of a small stack."""
+    (BLAS picks its kernel by shape), and no BLAS call per member of a small stack.
+    The search probes and gram keep `@`, faster on their stacks (timeit, K = 4, 8 / 16 /
+    27 members: complex 5.9 / 6.9 / 9.7 us by `@`, 9.8 / 11.9 / 14.3 us by this; int64
+    1.5 / 2.0 / 2.8 against 9.2 / 11.3 / 14.5 us; one 2 x 2: 1.8 against 3.6 us)."""
     if x.shape[-1] != y.shape[-2]:
         raise ValueError(f"matmul: inner dimensions {x.shape[-1]} and {y.shape[-2]} differ")
     out = x[..., :, 0, None] * y[..., None, 0, :]
@@ -51,9 +54,16 @@ def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def norm_sq(v: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a (..., n) stack, each summed along a contiguous copy
+    so that it does not depend on the rest of the stack; exact for Gaussian-integer rows."""
+    v = np.ascontiguousarray(v)
+    return (v.real**2 + v.imag**2).sum(axis=-1)
+
+
 def frob_norm_sq(m: np.ndarray):
     """Squared Frobenius norm of a matrix (a float), or of each member of a stack."""
-    return np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    return (m.conj() * m).real.sum(axis=(-2, -1))
 
 
 def _is_singular(m: np.ndarray) -> np.ndarray:

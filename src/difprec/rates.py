@@ -170,22 +170,17 @@ def effective_noise_var(alpha: complex, h_eff: np.ndarray, a: np.ndarray, snr: f
     return float(snr * np.vdot(diff, diff).real + abs(alpha) ** 2)
 
 
-def _norm_sq(v: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows of a (..., K) stack; exact for Gaussian-integer rows."""
-    return (v.real**2 + v.imag**2).sum(axis=-1)
-
-
 def comp_rates(h_eff: np.ndarray, a: np.ndarray, snr) -> np.ndarray:
     """Computation rates of (h', a) pairs given as rows (..., K), with snr
     broadcast against (...):
 
     log2+ [ (1 + ||h'||^2 snr) / (||a||^2 + (||a||^2 ||h'||^2 - |h' a^H|^2) snr) ].
     """
-    a_sq = _norm_sq(a)
+    a_sq = linalg.norm_sq(a)
     if (a_sq == 0).any():
         raise ValueError("coefficient vector must be nonzero")
-    h_sq = _norm_sq(h_eff)
-    cross = _norm_sq((a.conj() * h_eff).sum(axis=-1, keepdims=True))
+    h_sq = linalg.norm_sq(h_eff)
+    cross = linalg.norm_sq((a.conj() * h_eff).sum(axis=-1, keepdims=True))
     num = 1.0 + h_sq * snr
     den = a_sq + (a_sq * h_sq - cross) * snr
     return np.log2(np.maximum(num / den, 1.0))
@@ -225,7 +220,7 @@ def if_sum_rate(
     t = linalg.cmatrix(t)
     if t.shape != (h.m, h.k):
         raise ValueError(f"beamforming matrix must be {h.m} x {h.k}")
-    rates = if_rates(h.h @ t, a.re, a.im, h.snr, linalg.frob_norm_sq(t))
+    rates = if_rates(linalg.matmul(h.h, t), a.re, a.im, h.snr, linalg.frob_norm_sq(t))
     return RateReport(scheme, rates)
 
 
@@ -239,7 +234,7 @@ def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = 
         raise ValueError("diagonal entries must be nonzero")
     if entries.shape[0] != a.k:
         raise ValueError("diagonal size must match coefficient matrix")
-    norms = (a.re.astype(np.float64) ** 2 + a.im.astype(np.float64) ** 2).sum(axis=1)
+    norms = linalg.norm_sq(a.to_complex())
     rates = [log2_pos(1.0 / n + abs(e) ** 2 * snr) for n, e in zip(norms, entries)]
     return RateReport(scheme, np.array(rates))
 

@@ -18,18 +18,12 @@ from functools import cache
 
 import numpy as np
 
+from . import linalg
 from .gaussint import IntegerCoeffMatrix
 
 _MAX_STEPS = 100000
 LLL_DELTA = 0.99
 _upper = cache(lambda k: ~np.tri(k, k, -1, dtype=bool))  # a K x K diagonal and upper triangle
-
-
-def _col_norm_sq(g: np.ndarray) -> np.ndarray:
-    """Squared column norms (..., K) of a (..., M, K) stack, each summed along
-    a contiguous axis, so that it does not depend on the rest of the stack."""
-    v = np.ascontiguousarray(np.swapaxes(g, -2, -1))
-    return (v.real**2 + v.imag**2).sum(axis=-1)
 
 
 def _gram_schmidt(g: np.ndarray):
@@ -38,7 +32,7 @@ def _gram_schmidt(g: np.ndarray):
     deficient members: a squared Gram-Schmidt norm at most 1e-24 times the largest column's."""
     rt = np.linalg.qr(g, mode="raw")[0][..., : g.shape[-1]]
     diag = np.diagonal(rt, axis1=-2, axis2=-1)
-    qnorm, cols = diag.real**2 + diag.imag**2, _col_norm_sq(g)
+    qnorm, cols = diag.real**2 + diag.imag**2, linalg.norm_sq(np.swapaxes(g, -2, -1))
     return rt, qnorm, cols, qnorm.min(axis=-1) <= 1e-24 * cols.max(axis=-1)
 
 
@@ -137,7 +131,8 @@ def sorted_reduction(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     g = np.asarray(g, dtype=np.complex128)
     k = g.shape[-1]
     norms, todo, u = _reduce(g)
-    image = _col_norm_sq(g[todo] @ np.ascontiguousarray(np.swapaxes(u[..., :k] + 1j * u[..., k:], -2, -1)))
+    u_todo = np.ascontiguousarray(np.swapaxes(u[..., :k] + 1j * u[..., k:], -2, -1))
+    image = linalg.norm_sq(np.swapaxes(g[todo] @ u_todo, -2, -1))
     keep = image.sum(axis=-1) <= norms[todo].sum(axis=-1)
     norms[todo[keep]] = image[keep]
     # per column of A, its entries and its norm's bits: one gather sorts them all
@@ -175,4 +170,4 @@ def shortest_independent_columns(g: np.ndarray) -> IntegerCoeffMatrix:
 
 def reduction_objective(g: np.ndarray, a: IntegerCoeffMatrix) -> float:
     """Sum of squared norms of the columns of g @ A."""
-    return float(np.sum(np.abs(np.asarray(g, dtype=np.complex128) @ a.to_complex()) ** 2))
+    return float(linalg.frob_norm_sq(np.asarray(g, dtype=np.complex128) @ a.to_complex()))

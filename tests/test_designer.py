@@ -7,14 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from difprec.baselines import design_rzf, design_zf
 from difprec.designer import (
     RHO_MAX,
+    PrecoderStack,
     _optimal_a,
     _optimal_n,
     asymptotic_gap,
     build_precoder,
     design_dif_2user,
     design_dif_generalk,
+    dif_2user_stack,
+    dif_generalk_stack,
     f_of_a,
     hi_snr_rate_2user,
     optimal_a_2user,
@@ -33,7 +37,7 @@ from difprec.gaussint import (
     two_square_decomp,
 )
 from difprec.linalg import frob_norm_sq
-from difprec.rates import ChannelMatrix, DiagonalScale, dpc_sum_capacity, hi_snr_sum_capacity
+from difprec.rates import ChannelMatrix, DiagonalScale, dpc_sum_capacity, hi_snr_sum_capacity, if_sum_rate
 
 
 def rand_channel(rng, k, m, snr):
@@ -430,3 +434,58 @@ def test_d0_global_phase_invariance():
         d0_rot = DiagonalScale(d0.d * phase, c=1.0, unit_det=True)
         rate1 = build_precoder(h, a, d0_rot).rates.sum_rate
         assert abs(rate0 - rate1) <= 1e-10 * max(1.0, rate0)
+
+
+def one_path_designs(seed):
+    """Closed-form, baseline and searched designs on random channels at random SNRs:
+    K = 2 (the search's designs merge the closed form in) and K = 3."""
+    rng = np.random.default_rng(seed)
+    for trial in range(6):
+        h = rand_channel(rng, 2, 2, float(10 ** rng.uniform(-1, 4)))
+        yield h, design_zf(h)
+        yield h, design_rzf(h)
+        for regularized in (False, True):
+            yield h, design_dif_2user(h, regularized)
+            yield h, design_dif_generalk(h, regularized, restarts=2, seed=trial)
+        yield h, design_dif_2user(h, real_constraint=True)
+    for trial in range(3):
+        h = rand_channel(rng, 3, 3, float(10 ** rng.uniform(-1, 4)))
+        for regularized in (False, True):
+            yield h, design_dif_generalk(h, regularized, restarts=2, seed=trial)
+
+
+
+def two_user_search_points(regularized):
+    """(channel at one point, its design) for every point of a stacked K = 2
+    search, and the points where the search kept its closed-form design."""
+    rng = np.random.default_rng(12)
+    h = (rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2))) / np.sqrt(2)
+    snr = 10 ** (np.array([-10.0, 0.0, 10.0, 30.0]) / 10)
+    stack = dif_generalk_stack(ChannelMatrix(h, snr), list(range(8)), regularized, restarts=2)
+    analytic = dif_2user_stack(ChannelMatrix(h, snr), regularized)
+    won = (np.broadcast_to(analytic.d, stack.d.shape) == stack.d).all(axis=-1)
+    point = lambda t, s: PrecoderStack(*(x[t, s] for x in vars(stack).values()))  # noqa: E731
+    points = [(ChannelMatrix(h[t], snr[s]), point(t, s).design("dif", regularized)) for t, s in np.ndindex(won.shape)]
+    return points, won
+
+
+def test_a_design_rates_the_t_it_returns():
+    """Re-rating a design's own T and A gives its rates bit for bit: the
+    designers form, norm and rate a precoder in one place."""
+    for regularized in (False, True):
+        points, won = two_user_search_points(regularized)
+        assert won.any() and not won.all()  # both the closed form and the search win somewhere
+        for h, design in list(one_path_designs(13)) + points:
+            assert np.array_equal(if_sum_rate(h, design.t, design.a).per_user, design.rates.per_user)
+
+
+def test_build_precoder_rebuilds_a_design_bit_for_bit():
+    """build_precoder on a design's own A and D0 gives its T and rates, also
+    for the merged designs of the K = 2 search."""
+    points = two_user_search_points(False)[0] + two_user_search_points(True)[0]
+    for h, design in list(one_path_designs(14)) + points:
+        if not design.d0.unit_det:
+            continue  # ZF's water-filled diagonal is not a unit-|det| D0
+        rebuilt = build_precoder(h, design.a, design.d0, design.regularized)
+        assert np.array_equal(rebuilt.t, design.t)
+        assert np.array_equal(rebuilt.rates.per_user, design.rates.per_user)

@@ -564,3 +564,26 @@ def test_cli_singular_dpc_point_is_a_nan_record(tmp_path, capsys):
     assert main(args + ["--schemes", "zf,dpc", "--out", str(tmp_path)]) == 0
     lines = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
     assert len(lines) == 1 and lines[0].startswith("warning: dpc infeasible")
+
+
+@pytest.mark.parametrize("spec", ["0:0.5:1e9", "0:1:1e18"])
+def test_snr_range_too_long_to_build_exits_2(tmp_path, monkeypatch, capsys, spec):
+    """A range of 2e9 or 1e18 values is refused before any array is built,
+    from the flag and from a config file."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.arange called")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    assert main([f"--snr-db={spec}", "--out", str(tmp_path / "flag")]) == 2
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"snr-db = {spec}\n")
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "file")]) == 2
+    assert capsys.readouterr().err.count(f"more than {cli.MAX_SNR_POINTS} SNR values") == 2
+
+
+def test_snr_range_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SNR_POINTS", 3)
+    assert parse_snr_spec("0:1:2") == (0.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="more than 3 SNR values"):
+        parse_snr_spec("0:1:3")

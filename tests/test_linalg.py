@@ -216,3 +216,23 @@ def test_norm_bound_agrees_with_svd_rule(n):
                 linalg.inverse(member)
         else:
             assert np.array_equal(linalg.inverse(member), np.linalg.inv(member))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_norm_sq_does_not_depend_on_the_stack(k):
+    """Each member's squared row norms, and its squared column norms through a
+    transposed view, have the same bits alone, in a sub-stack and in the
+    whole stack, also for a lone row or column view."""
+    rng = np.random.default_rng(60 + k)
+    g = rand_cmatrix(rng, 6 * 5 * k, k).reshape(6, 5, k, k)
+    rows, cols = linalg.norm_sq(g), linalg.norm_sq(np.swapaxes(g, -2, -1))
+    assert np.allclose(rows, (np.abs(g) ** 2).sum(axis=-1), rtol=1e-14, atol=0)
+    assert np.allclose(cols, (np.abs(g) ** 2).sum(axis=-2), rtol=1e-14, atol=0)
+    assert np.array_equal(linalg.norm_sq(np.swapaxes(g[2], -2, -1)), cols[2])
+    for i, j in np.ndindex(6, 5):
+        member = g[i, j].copy()
+        assert np.array_equal(linalg.norm_sq(member), rows[i, j])
+        assert np.array_equal(linalg.norm_sq(member.T), cols[i, j])
+        for r in range(k):
+            assert linalg.norm_sq(g[i, j, r]) == rows[i, j, r]
+            assert linalg.norm_sq(g[i, j, :, r]) == cols[i, j, r]
