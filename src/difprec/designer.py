@@ -380,7 +380,7 @@ def dif_generalk_stack(
 ) -> PrecoderStack:
     """Search-based designs for K >= 2 users at every point of h, with one
     seed per channel.  A point whose M is singular or whose B = H^H M is rank
-    deficient gets NaN rates and A = I.
+    deficient gets NaN rates and A = I (for K = 2, the closed-form design).
 
     The diagonal is d_i = exp(beta_i + j theta_i), sum(beta) = 0, theta_1 = 0;
     lattice reduction of B D0 A_last picks A = A_last U, with A_last the row's
@@ -463,9 +463,9 @@ def dif_generalk_stack(
         live = live[f[live] - f_sweep_start >= SWEEP_GAIN_BITS]
 
     a, d = best_a.reshape(shape + (2, k, k)), best_d.reshape(shape + (k,))
-    if k == 2:  # the closed-form design wherever it rates higher
-        searched = precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized).rates
-        won = analytic.rates.sum(axis=-1) > searched.sum(axis=-1)
+    if k == 2:  # the closed-form design wherever it rates higher or the search has none
+        searched = precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized).rates.sum(axis=-1)
+        won = np.isnan(searched) | (analytic.rates.sum(axis=-1) > searched)
         d = np.where(won[..., None], analytic.d, d)
         a = np.where(won[..., None, None, None], np.stack((analytic.a_re, analytic.a_im), axis=-3), a)
     return precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized)
@@ -475,8 +475,8 @@ def design_dif_generalk(
     h: ChannelMatrix, regularized: bool = False, restarts: int = 8, seed: int = 0
 ) -> PrecoderDesign:
     """Search-based design for K >= 2 users at the single SNR of h (see
-    dif_generalk_stack).  Raises linalg.SingularMatrixError if M is singular
-    or H^H M rank deficient."""
+    dif_generalk_stack).  Raises linalg.SingularMatrixError where that stack
+    gives NaN rates."""
     stack = dif_generalk_stack(h, [seed], regularized, restarts)
     rho = rho_of_channel(h) if h.k == 2 else math.nan
     return stack.design("rdif" if regularized else "dif", regularized, rho=rho)

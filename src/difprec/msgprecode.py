@@ -4,10 +4,10 @@ Messages live in Z_p[j] with p prime and p = 3 (mod 4), which makes Z_p[j] a
 field of order p^2.  The transmitter pre-inverts the integer coefficient
 matrix A there (W' = inv(A) W mod p) so that the integer combination each
 receiver decodes, a_i W' mod p, is exactly its own message row.  The
-inverse is the adjugate, from the exact cofactors of gaussint.det_exact, times
-the field inverse of det(A).  All arithmetic is exact: message parts are
-int64 arrays reduced mod p, for every p that ModPField accepts (p^2 < 2^63),
-and products whose sums could overflow int64 are taken in Python integers.
+inverse comes from Gauss-Jordan elimination of [A | I] over Z_p[j] in Python
+integers.  All arithmetic is exact: message parts are int64 arrays reduced
+mod p, for every p that ModPField accepts (p^2 < 2^63), and products whose
+sums could overflow int64 are taken in Python integers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussint import IntegerCoeffMatrix, det_exact
+from .gaussint import IntegerCoeffMatrix
 
 
 class NotInvertibleModPError(ValueError):
@@ -108,17 +108,33 @@ def _matmul_modp(ar, ai, br, bi, p):
     return (ar @ br - ai @ bi) % p, (ar @ bi + ai @ br) % p
 
 
-def _cofactors(a: IntegerCoeffMatrix):
-    """Exact (re, im) cofactor matrices of A, from one stacked det_exact call
-    over its K^2 minors."""
+def _inverse_modp(a: IntegerCoeffMatrix, p: int):
+    """(re, im) int64 parts of inv(A) mod p, by Gauss-Jordan elimination of
+    [A | I] on rows of (re, im) pairs; each pivot column is dropped once it is
+    a unit column.  A column without a nonzero pivot means det(A) = 0 mod p.
+
+    (x + yj)^-1 = (x - yj) (x^2 + y^2)^-1 mod p, and x^2 + y^2 = 0 mod p only
+    when x = y = 0 mod p, because p = 3 (mod 4).
+    """
     k = a.k
-    if k == 1:
-        return np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
-    keep = np.array([[r for r in range(k) if r != i] for i in range(k)])
-    rows, cols = keep[:, None, :, None], keep[None, :, None, :]
-    minor_re, minor_im = det_exact(a.re[rows, cols], a.im[rows, cols])
-    sign = 1 - 2 * (np.add.outer(np.arange(k), np.arange(k)) % 2)
-    return sign * minor_re, sign * minor_im
+    re, im = (a.re % p).tolist(), (a.im % p).tolist()
+    rows = [list(zip(re[i] + [int(i == j) for j in range(k)], im[i] + [0] * k)) for i in range(k)]
+    for c in range(k):
+        piv = next((r for r in range(c, k) if rows[r][0] != (0, 0)), None)
+        if piv is None:
+            raise NotInvertibleModPError(f"matrix not invertible mod {p}")
+        ((x, y), *pivot), rows[piv] = rows[piv], rows[c]
+        s = pow(x * x + y * y, -1, p)
+        ur, ui = x * s % p, -y * s % p
+        rows[c] = pivot = [((u * ur - v * ui) % p, (u * ui + v * ur) % p) for u, v in pivot]
+        for r in range(k):
+            if r != c:
+                (fr, fi), *row = rows[r]
+                rows[r] = [
+                    ((q - fr * u + fi * v) % p, (w - fr * v - fi * u) % p) for (q, w), (u, v) in zip(row, pivot)
+                ] if fr or fi else row
+    inv = np.array(rows, np.int64)
+    return inv[..., 0], inv[..., 1]
 
 
 def modp_invertible(a: IntegerCoeffMatrix, field: ModPField) -> bool:
@@ -128,31 +144,14 @@ def modp_invertible(a: IntegerCoeffMatrix, field: ModPField) -> bool:
 
 
 def modp_inverse(a: IntegerCoeffMatrix, field: ModPField) -> MessageMatrix:
-    """K x K matrix over Z_p[j] with A @ result = I mod p: adj(A) det(A)^-1.
-
-    (x + yj)^-1 = (x - yj) (x^2 + y^2)^-1 mod p, and x^2 + y^2 = 0 mod p only
-    when x = y = 0 mod p, because p = 3 (mod 4).
-    """
-    p = field.p
-    d = a.det_exact()
-    norm = (d.re * d.re + d.im * d.im) % p
-    if norm == 0:
-        raise NotInvertibleModPError(f"matrix not invertible mod {p}")
-    scale = pow(norm, -1, p)
-    inv_re, inv_im = d.re * scale % p, -d.im * scale % p
-    adj_re, adj_im = (c.T.astype(object) for c in _cofactors(a))
-    return MessageMatrix(
-        field,
-        (adj_re * inv_re - adj_im * inv_im) % p,
-        (adj_re * inv_im + adj_im * inv_re) % p,
-    )
+    """K x K matrix over Z_p[j] with A @ result = I mod p."""
+    return MessageMatrix(field, *_inverse_modp(a, field.p))
 
 
 def precode_messages(w: MessageMatrix, a: IntegerCoeffMatrix) -> MessageMatrix:
     """W' = inv(A) W mod p."""
-    atr = modp_inverse(a, w.field)
-    wr, wi = _matmul_modp(atr.re, atr.im, w.re, w.im, w.field.p)
-    return MessageMatrix(w.field, wr, wi)
+    p = w.field.p
+    return MessageMatrix(w.field, *_matmul_modp(*_inverse_modp(a, p), w.re, w.im, p))
 
 
 def recover_message(i: int, w_prime: MessageMatrix, a: IntegerCoeffMatrix) -> MessageMatrix:

@@ -45,9 +45,13 @@ def scalar_designers(k: int) -> dict:
     return designers
 
 
-# the designs that exist: a zero row leaves RZF and the closed-form RDIF
-# (K = 2) a design; everything else needs a regular G, or a full-rank H^H M
-FEASIBLE = {"zero": {"zfdp"}, "row": {"zfdp", "rzf", "rdif"}}
+def feasible(kind: str, k: int) -> set:
+    """The designs that exist: a zero row leaves RZF and, for K = 2, the
+    closed-form RDIF a design, and the K = 2 regularized search falls back on
+    the latter; everything else needs a regular G, or a full-rank H^H M."""
+    if kind == "zero":
+        return {"zfdp"}
+    return {"zfdp", "rzf"} | ({"rdif", "rdif_search"} if k == 2 else set())
 
 
 @pytest.mark.parametrize("kind", ["zero", "row"])
@@ -57,7 +61,7 @@ def test_scalar_designers_raise_singular_or_give_zero_rates(kind, k):
     point NaN; the designs that exist give the zero row's user rate 0."""
     h = ChannelMatrix(degenerate(kind, k), SNR)
     for name, design in scalar_designers(k).items():
-        if name in FEASIBLE[kind]:
+        if name in feasible(kind, k):
             report = design(h)
             rates = getattr(report, "rates", report).per_user
             assert np.isfinite(rates).all() and (rates >= 0).all(), name
@@ -99,7 +103,7 @@ def test_stacks_leave_degenerate_points_nan_and_spare_the_rest(kind, k):
     for name, rates_of in stacks.items():
         rates = rates_of(both)
         assert np.array_equal(rates[:1], rates_of(alone)), name
-        if name in FEASIBLE[kind] or name == "dpc":
+        if name in feasible(kind, k) | {"dpc"}:
             assert np.isfinite(rates[1]).all() and (rates[1] >= 0).all(), name
             if kind == "zero":
                 assert (rates[1] == 0).all(), name
@@ -123,11 +127,9 @@ def test_a_degenerate_trial_is_recorded_and_spares_the_run(monkeypatch, kind, k)
     )
     res = run_experiment(cfg)[0]
     assert np.array_equal(res.sum_rate[..., [0, 2]], clean.sum_rate[..., [0, 2]], equal_nan=True)
-    feasible = FEASIBLE[kind] | {"dpc"}
-    if k > 2:
-        feasible -= {"rdif"}  # the search needs a full-rank H^H M
+    designs = feasible(kind, k) | {"dpc"}
     for i, scheme in enumerate(res.schemes):
-        assert np.isnan(res.sum_rate[i, :, 1]).all() != (scheme in feasible), scheme
+        assert np.isnan(res.sum_rate[i, :, 1]).all() != (scheme in designs), scheme
     if k == 2:
         assert res.rho[1] == 0.0
     assert math.isnan(res.rho[0]) == (k != 2)

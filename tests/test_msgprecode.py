@@ -84,23 +84,55 @@ def test_modp_inverse_hand_example():
 
 
 def test_modp_inverse_multiply_back():
-    """The inverse is unique, so A Atilde = I mod p pins it, for K = 1 to 8."""
+    """The inverse is unique, so A Atilde = I mod p pins it, for K = 1 to 8,
+    up to the largest accepted p (the check multiplies in Python integers)."""
     rng = np.random.default_rng(0)
-    for p in (11, 251):
+    for p in (11, 251, 3_037_000_427):
         field = ModPField(p)
         for k in range(1, 9):
             for _ in range(5):
                 a = random_invertible(field, k, rng)
                 atilde = modp_inverse(a, field)
-                prod_re = (a.re % p @ atilde.re - a.im % p @ atilde.im) % p
-                prod_im = (a.re % p @ atilde.im + a.im % p @ atilde.re) % p
-                assert np.array_equal(prod_re, np.eye(k, dtype=np.int64))
-                assert np.array_equal(prod_im, np.zeros((k, k), dtype=np.int64))
+                assert atilde.re.dtype == atilde.im.dtype == np.int64
+                ar, ai, tr, ti = (x.astype(object) for x in (a.re % p, a.im % p, atilde.re, atilde.im))
+                assert np.array_equal((ar @ tr - ai @ ti) % p, np.eye(k, dtype=np.int64))
+                assert np.array_equal((ar @ ti + ai @ tr) % p, np.zeros((k, k), dtype=np.int64))
 
 
 def test_modp_inverse_not_invertible_raises():
     with pytest.raises(NotInvertibleModPError):
         modp_inverse(gi_matrix([[(1, 0), (1, 0)], [(1, 0), (1, 0)]]), ModPField(7))
+
+
+def test_full_rank_matrix_with_det_zero_mod_p_is_refused():
+    """det = 7: invertible over C, but neither inverted nor used to precode mod 7."""
+    field = ModPField(7)
+    a = gi_matrix([[(7, 0), (0, 0)], [(0, 0), (1, 0)]])
+    assert a.is_full_rank()
+    with pytest.raises(NotInvertibleModPError):
+        modp_inverse(a, field)
+    with pytest.raises(NotInvertibleModPError):
+        precode_messages(MessageMatrix.random(field, 2, 3, np.random.default_rng(7)), a)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_modp_invertible_iff_modp_inverse_returns(p):
+    """The det_exact test and the elimination agree on every draw; at small p
+    singular draws are common, so both answers occur at every K."""
+    field = ModPField(p)
+    rng = np.random.default_rng(p)
+    for k in range(1, 6):
+        answers = set()
+        for _ in range(60):
+            a = IntegerCoeffMatrix(rng.integers(-6, 7, (k, k)), rng.integers(-6, 7, (k, k)))
+            try:
+                modp_inverse(a, field)
+                returned = True
+            except NotInvertibleModPError:
+                returned = False
+            assert modp_invertible(a, field) == returned
+            answers.add(returned)
+        assert answers == {True, False}
 
 
 def test_precode_identity_and_zero():
