@@ -52,7 +52,7 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
 
 def design_zf(h: ChannelMatrix) -> PrecoderDesign:
     """Zero-forcing with water-filled power loading (see zf_stack)."""
-    return zf_stack(h).design("zf", regularized=False, unit_det=False)
+    return zf_stack(h).design(unit_det=False)
 
 
 def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
@@ -67,7 +67,7 @@ def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
 
 def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
     """Regularized zero-forcing with uniform loading (see rzf_stack)."""
-    return rzf_stack(h).design("rzf", regularized=True)
+    return rzf_stack(h).design()
 
 
 def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
@@ -86,4 +86,4 @@ def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
 
 def design_zfdp(h: ChannelMatrix) -> RateReport:
     """Zero-forcing dirty-paper bound (see zfdp_rates)."""
-    return RateReport("zfdp", zfdp_rates(h))
+    return RateReport(zfdp_rates(h))

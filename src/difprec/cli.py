@@ -1,9 +1,10 @@
 """Command-line front end for the Monte-Carlo harness.
 
 SNR values are given in dB (converted to linear power ratios internally);
-everything else mirrors the library defaults.  A config file with
-`key = value` lines can preset any flag but --config; explicit flags win,
-and a key that names no flag is an error.
+everything else mirrors the library defaults.  A config file's `key = value`
+lines are read as `--key=value` flags placed before the command line's own,
+so each value is checked as its flag is and explicit flags win; a key that
+names no flag, or names --config, is an error.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ def load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _yes_no(value: str) -> bool:
+    for answer, words in ((True, ("1", "true", "yes")), (False, ("0", "false", "no"))):
+        if value.lower() in words:
+            return answer
+    raise argparse.ArgumentTypeError(f"expected yes/no, true/false or 1/0, got {value!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="difprec",
@@ -64,12 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, help="number of single-antenna users (default 2)")
     parser.add_argument("--m", type=int, help="transmit antennas (default k)")
     parser.add_argument("--snr-db", help="comma list '0,5,10' or range 'start:step:stop'")
-    parser.add_argument("--trials", type=int, help="channel realizations (default 1000; 200 when k > 2)")
+    parser.add_argument("--trials", type=int, help="channel realizations (default 1000 at k = 2, else 200)")
     parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--schemes", help=f"comma subset of {','.join(ALL_SCHEMES)}")
     parser.add_argument("--restarts", type=int, help="random restarts for the k > 2 search (default 8)")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    parser.add_argument("--out", default=".", help="output directory (default .)")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument(
         "--gap-curve",
         type=int,
@@ -78,7 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--real-integers",
-        action="store_true",
+        type=_yes_no,
+        nargs="?",
+        const=True,
+        default=False,
+        metavar="yes|no",
         help="also run the real-integer-constrained two-user variant (scheme dif_real)",
     )
     return parser
@@ -86,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
 
     try:
@@ -93,26 +106,17 @@ def main(argv=None) -> int:
         unknown = [key for key in file_values if key == "config" or key not in vars(args)]
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        file_flags = [f"--{key.replace('_', '-')}={value}" for key, value in file_values.items()]
+        args = parser.parse_args(file_flags + argv)  # a later flag wins
 
-        def pick(name: str, cast, default):
-            cli_value = getattr(args, name)
-            if cli_value is not None and cli_value is not False:
-                return cli_value
-            if name in file_values:
-                return cast(file_values[name])
-            return default
-
-        jobs = pick("jobs", int, 1)
-        if jobs < 1:
+        if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
-        out_dir = Path(pick("out", str, "."))
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        resolution = pick("gap_curve", int, None)
-        real = bool(pick("real_integers", lambda s: s.lower() in ("1", "true", "yes"), False))
-        if resolution is not None:
-            complex_curve = gap_curve(resolution, real_constraint=False)
-            real_curve = gap_curve(resolution, real_constraint=True)
+        if args.gap_curve is not None:
+            complex_curve = gap_curve(args.gap_curve, real_constraint=False)
+            real_curve = gap_curve(args.gap_curve, real_constraint=True)
             lines = ["rho,gap_complex_bits,gap_real_bits"]
             for (rho, gc), (_, gr) in zip(complex_curve, real_curve):
                 lines.append(f"{rho:.12g},{gc:.12g},{gr:.12g}")
@@ -120,34 +124,23 @@ def main(argv=None) -> int:
             print(f"wrote {out_dir / 'gap_curve.csv'}")
             return 0
 
-        defaults = ExperimentConfig()
-        k = pick("k", int, defaults.k)
-        m = pick("m", int, k)
-        trials = pick("trials", int, defaults.trials if k == 2 else 200)
-        schemes_spec = pick("schemes", str, None)
-        if schemes_spec is None:
-            schemes = list(defaults.schemes)
-            if real and k == 2:
-                schemes.append("dif_real")
-        else:
-            schemes = [s.strip() for s in schemes_spec.split(",") if s.strip()]
-        snr_spec = pick("snr_db", str, None)
-        snr_db = parse_snr_spec(snr_spec) if isinstance(snr_spec, str) else (snr_spec or defaults.snr_db)
-
-        cfg = ExperimentConfig(
-            k=k,
-            m=m,
-            snr_db=snr_db,
-            trials=trials,
-            seed=pick("seed", int, defaults.seed),
-            schemes=tuple(schemes),
-            restarts=pick("restarts", int, defaults.restarts),
-        )
+        k = ExperimentConfig.k if args.k is None else args.k
+        settings = {"k": k, "m": k, "trials": ExperimentConfig.trials if k == 2 else 200}
+        for name in ("m", "trials", "seed", "restarts"):
+            if getattr(args, name) is not None:
+                settings[name] = getattr(args, name)
+        if args.snr_db is not None:
+            settings["snr_db"] = parse_snr_spec(args.snr_db)
+        if args.schemes is not None:
+            settings["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
+        elif args.real_integers and k == 2:
+            settings["schemes"] = ExperimentConfig.schemes + ("dif_real",)
+        cfg = ExperimentConfig(**settings)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    records, aggregate = run_experiment(cfg, jobs=jobs)
+    records, aggregate = run_experiment(cfg, jobs=args.jobs)
     write_trials_csv(out_dir / "trials.csv", records)
     write_aggregate_csv(out_dir / "aggregate.csv", aggregate)
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'aggregate.csv'}")

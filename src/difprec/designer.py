@@ -72,7 +72,8 @@ class PrecoderStack:
     for what does not vary with SNR (see ChannelMatrix).
     a_re, a_im: integer parts of A (..., K, K); d: diagonal of D0 (..., K);
     c: power scale (...); t: T (..., M, K), the precoder the rates are of;
-    rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient or H = 0.
+    rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient or H = 0;
+    regularized: whether M is the regularized inverse Gram matrix.
     """
 
     a_re: np.ndarray
@@ -81,10 +82,9 @@ class PrecoderStack:
     c: np.ndarray
     t: np.ndarray
     rates: np.ndarray
+    regularized: bool
 
-    def design(
-        self, scheme: str, regularized: bool, unit_det: bool = True, rho: float = math.nan
-    ) -> PrecoderDesign:
+    def design(self, unit_det: bool = True, rho: float = math.nan) -> PrecoderDesign:
         """The PrecoderDesign of a stack built for a channel at a single SNR.
         Raises linalg.SingularMatrixError where the stack's rates are NaN."""
         if np.isnan(self.rates).any():
@@ -95,8 +95,8 @@ class PrecoderStack:
             d0=DiagonalScale(self.d, c=c, unit_det=unit_det),
             c=c,
             t=self.t,
-            rates=RateReport(scheme, self.rates),
-            regularized=regularized,
+            rates=RateReport(self.rates),
+            regularized=self.regularized,
             rho=rho,
         )
 
@@ -123,7 +123,7 @@ def precode(
     c = 1.0 / np.sqrt(np.where(power > 0.0, power, np.nan))
     t = c[..., None, None] * t
     rates = if_rates(linalg.matmul(h.rows, t), a_re, a_im, h.snr, c * c * power)
-    return PrecoderStack(a_re, a_im, d, c, t, rates)
+    return PrecoderStack(a_re, a_im, d, c, t, rates, regularized)
 
 
 def _rho(x: np.ndarray) -> np.ndarray:
@@ -276,18 +276,12 @@ def optimal_d0_2user(
 
 
 def build_precoder(
-    h: ChannelMatrix,
-    a: IntegerCoeffMatrix,
-    d0: DiagonalScale,
-    regularized: bool = False,
-    scheme: str | None = None,
+    h: ChannelMatrix, a: IntegerCoeffMatrix, d0: DiagonalScale, regularized: bool = False
 ) -> PrecoderDesign:
     """Assemble T = c H^H M D0 A with c saturating the unit power budget."""
     if not d0.unit_det:
         raise ValueError("build_precoder expects a unit-|det| diagonal")
-    if scheme is None:
-        scheme = "rdif" if regularized else "dif"
-    return precode(h, d0.d, a.re, a.im, regularized).design(scheme, regularized)
+    return precode(h, d0.d, a.re, a.im, regularized).design()
 
 
 def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> float:
@@ -328,9 +322,7 @@ def design_dif_2user(
     h: ChannelMatrix, regularized: bool = False, real_constraint: bool = False
 ) -> PrecoderDesign:
     """Closed-form two-user design at the single SNR of h (see dif_2user_stack)."""
-    scheme = ("rdif" if regularized else "dif") + ("_real" if real_constraint else "")
-    stack = dif_2user_stack(h, regularized, real_constraint)
-    return stack.design(scheme, regularized, rho=rho_of_channel(h))
+    return dif_2user_stack(h, regularized, real_constraint).design(rho=rho_of_channel(h))
 
 
 def asymptotic_gaps(rho, real_constraint: bool = False) -> np.ndarray:
@@ -479,4 +471,4 @@ def design_dif_generalk(
     gives NaN rates."""
     stack = dif_generalk_stack(h, [seed], regularized, restarts)
     rho = rho_of_channel(h) if h.k == 2 else math.nan
-    return stack.design("rdif" if regularized else "dif", regularized, rho=rho)
+    return stack.design(rho=rho)

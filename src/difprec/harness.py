@@ -153,14 +153,15 @@ def run_trials(cfg: ExperimentConfig, trials) -> Results:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[Results, list[tuple]]:
     """Run all trials; returns (results, aggregate rows).
 
-    The trials are split into `jobs` contiguous chunks, run by at most
-    os.cpu_count() worker processes and joined along the trial axis.
+    The trials are split into min(jobs, trials) contiguous chunks, run by at
+    most os.cpu_count() worker processes and joined along the trial axis.
     Aggregate rows are (scheme, snr_db, mean sum rate, mean gap, stderr of
     the gap) over the trial axis, in sorted scheme and configured SNR order.
     The scientific content depends only on cfg.  Each scheme with NaN records
     gets one warning line on stderr with their count.
     """
-    chunks = [c.tolist() for c in np.array_split(np.arange(cfg.trials), max(jobs, 1)) if c.size]
+    sections = max(min(jobs, cfg.trials), 1)
+    chunks = [c.tolist() for c in np.array_split(np.arange(cfg.trials), sections)]
     if len(chunks) == 1:
         parts = [run_trials(cfg, chunks[0])]
     else:

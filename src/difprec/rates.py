@@ -112,9 +112,8 @@ def _check_rates(per_user: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user achievable rates and their sum, tagged with a scheme label."""
+    """Per-user achievable rates and their sum."""
 
-    scheme: str
     per_user: np.ndarray
     sum_rate: float = field(init=False)
 
@@ -213,18 +212,16 @@ def if_rates(h_eff: np.ndarray, a_re: np.ndarray, a_im: np.ndarray, snr, power) 
     return rates
 
 
-def if_sum_rate(
-    h: ChannelMatrix, t: np.ndarray, a: IntegerCoeffMatrix, scheme: str = "if"
-) -> RateReport:
+def if_sum_rate(h: ChannelMatrix, t: np.ndarray, a: IntegerCoeffMatrix) -> RateReport:
     """Sum of per-user computation rates for beamforming t and coefficients a."""
     t = linalg.cmatrix(t)
     if t.shape != (h.m, h.k):
         raise ValueError(f"beamforming matrix must be {h.m} x {h.k}")
     rates = if_rates(linalg.matmul(h.h, t), a.re, a.im, h.snr, linalg.frob_norm_sq(t))
-    return RateReport(scheme, rates)
+    return RateReport(rates)
 
 
-def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = "dif") -> RateReport:
+def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float) -> RateReport:
     """Closed-form rate when the precoded channel is exactly diag(d) A:
 
     sum_i log2+ (1/||a_i||^2 + |d_i|^2 snr).
@@ -236,7 +233,7 @@ def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float, scheme: str = 
         raise ValueError("diagonal size must match coefficient matrix")
     norms = linalg.norm_sq(a.to_complex())
     rates = [log2_pos(1.0 / n + abs(e) ** 2 * snr) for n, e in zip(norms, entries)]
-    return RateReport(scheme, np.array(rates))
+    return RateReport(np.array(rates))
 
 
 def dpc_capacities(h: ChannelMatrix) -> np.ndarray:

@@ -294,7 +294,7 @@ def test_criterion_07_regularization_vanishes_at_high_snr():
             plain = design_dif_2user(h, False)
             reg = design_dif_2user(h, True)
             d1 = math.sqrt(frob_norm_sq(plain.t - reg.t) / frob_norm_sq(plain.t))
-            zf_dir = build_precoder(h, eye, ones, regularized=False, scheme="zf")
+            zf_dir = build_precoder(h, eye, ones, regularized=False)
             rzf = design_rzf(h)
             d2 = math.sqrt(frob_norm_sq(zf_dir.t - rzf.t) / frob_norm_sq(zf_dir.t))
             worst_dif, worst_zf = max(worst_dif, d1), max(worst_zf, d2)

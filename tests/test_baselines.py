@@ -71,7 +71,7 @@ def test_rzf_tends_to_uniform_zf_direction():
     for _ in range(20):
         h = rand_channel(rng, 2, 2, 1e7)
         rzf = design_rzf(h)
-        zf_dir = build_precoder(h, eye, ones, regularized=False, scheme="zf")
+        zf_dir = build_precoder(h, eye, ones, regularized=False)
         dist = np.sqrt(frob_norm_sq(rzf.t - zf_dir.t) / frob_norm_sq(zf_dir.t))
         assert dist < 1e-4
 

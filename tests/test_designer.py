@@ -25,6 +25,7 @@ from difprec.designer import (
     optimal_a_2user_real,
     optimal_d0_2user,
     optimal_n,
+    precode,
     rho_of_channel,
     transition_rho,
 )
@@ -464,8 +465,9 @@ def two_user_search_points(regularized):
     stack = dif_generalk_stack(ChannelMatrix(h, snr), list(range(8)), regularized, restarts=2)
     analytic = dif_2user_stack(ChannelMatrix(h, snr), regularized)
     won = (np.broadcast_to(analytic.d, stack.d.shape) == stack.d).all(axis=-1)
-    point = lambda t, s: PrecoderStack(*(x[t, s] for x in vars(stack).values()))  # noqa: E731
-    points = [(ChannelMatrix(h[t], snr[s]), point(t, s).design("dif", regularized)) for t, s in np.ndindex(won.shape)]
+    arrays = {name: x for name, x in vars(stack).items() if name != "regularized"}
+    point = lambda t, s: PrecoderStack(**{name: x[t, s] for name, x in arrays.items()}, regularized=regularized)  # noqa: E731
+    points = [(ChannelMatrix(h[t], snr[s]), point(t, s).design()) for t, s in np.ndindex(won.shape)]
     return points, won
 
 
@@ -489,3 +491,20 @@ def test_build_precoder_rebuilds_a_design_bit_for_bit():
         rebuilt = build_precoder(h, design.a, design.d0, design.regularized)
         assert np.array_equal(rebuilt.t, design.t)
         assert np.array_equal(rebuilt.rates.per_user, design.rates.per_user)
+
+
+def test_a_design_reports_its_own_variant():
+    """A stack records whether its M is regularized, and every design carries
+    the variant it was built as."""
+    rng = np.random.default_rng(15)
+    h2, h3 = rand_channel(rng, 2, 2, 10.0), rand_channel(rng, 3, 3, 10.0)
+    eye = IntegerCoeffMatrix.identity(2)
+    assert design_zf(h2).regularized is False
+    assert design_rzf(h2).regularized is True
+    assert design_dif_2user(h2, real_constraint=True).regularized is False
+    for r in (False, True):
+        assert precode(h2, np.ones(2, dtype=complex), eye.re, eye.im, regularized=r).regularized is r
+        assert design_dif_2user(h2, r).regularized is r
+        for h in (h2, h3):
+            assert design_dif_generalk(h, r, restarts=1).regularized is r
+        assert build_precoder(h2, eye, optimal_d0_2user(h2, eye, r), r).regularized is r

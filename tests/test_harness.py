@@ -587,3 +587,81 @@ def test_snr_range_limit_is_inclusive(monkeypatch):
     assert parse_snr_spec("0:1:2") == (0.0, 1.0, 2.0)
     with pytest.raises(ValueError, match="more than 3 SNR values"):
         parse_snr_spec("0:1:3")
+
+
+def test_jobs_above_the_trial_count_split_one_chunk_per_trial(monkeypatch):
+    """--jobs beyond the trial count asks array_split for no more sections
+    than trials, so a huge value builds no huge list of empty chunks."""
+    sections = []
+    real_split = np.array_split
+
+    def spy(array, n):
+        sections.append(n)
+        assert n <= len(array), "more sections than trials"
+        return real_split(array, n)
+
+    monkeypatch.setattr(harness.np, "array_split", spy)
+    cfg = ExperimentConfig(snr_db=(10.0,), trials=1, schemes=("zf", "dpc"), seed=3)
+    res, rows = run_experiment(cfg, jobs=10**9)
+    alone, aggregate = run_experiment(cfg)
+    assert sections == [1, 1]
+    assert np.array_equal(res.sum_rate, alone.sum_rate) and rows == aggregate
+
+
+def test_cli_defaults_trials_and_m_by_k(tmp_path, monkeypatch):
+    """--trials defaults to 1000 at K = 2 and to 200 at every other K, K = 1
+    included; --m defaults to K."""
+    class Captured(Exception):
+        pass
+
+    seen = []
+
+    def capture(cfg, jobs):
+        seen.append(cfg)
+        raise Captured  # stop before any trial runs
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    for k in (1, 2, 3):
+        with pytest.raises(Captured):
+            main(["--k", str(k), "--schemes", "zf,dpc", "--out", str(tmp_path)])
+    assert [(cfg.k, cfg.m, cfg.trials) for cfg in seen] == [(1, 1, 200), (2, 2, 1000), (3, 3, 200)]
+
+
+def test_config_file_booleans_are_checked_as_the_flag(tmp_path, capsys):
+    """real_integers takes yes or no in a file; any other value is an error
+    (exit 2), not a silent no."""
+    schemes = {}
+    for value in ("no", "yes", "maybe"):
+        cfg_file = tmp_path / f"{value}.cfg"
+        cfg_file.write_text(f"trials = 1\nsnr-db = 10\nreal_integers = {value}\n")
+        out = tmp_path / value
+        if value == "maybe":
+            with pytest.raises(SystemExit) as stop:
+                main(["--config", str(cfg_file), "--out", str(out)])
+            assert stop.value.code == 2 and "--real-integers" in capsys.readouterr().err
+            continue
+        assert main(["--config", str(cfg_file), "--out", str(out)]) == 0
+        schemes[value] = {line.split(",")[0] for line in (out / "trials.csv").read_text().splitlines()[1:]}
+    assert "dif_real" not in schemes["no"] and schemes["yes"] == schemes["no"] | {"dif_real"}
+
+
+def test_badly_typed_value_exits_2_from_a_file_and_a_flag(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("k = two\n")
+    for argv in (["--config", str(cfg_file)], ["--k", "two"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--out", str(tmp_path)])
+        assert stop.value.code == 2
+
+
+def test_config_file_run_equals_the_same_flags(tmp_path):
+    settings = {"k": "2", "m": "3", "snr-db": "-5:5:10", "trials": "3", "seed": "7",
+                "schemes": "dif,rzf,zfdp,dpc", "restarts": "2", "jobs": "1"}
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    assert main(["--config", str(cfg_file), "--out", str(tmp_path / "file")]) == 0
+    flags = [f"--{key}={value}" for key, value in settings.items()]
+    assert main(flags + ["--out", str(tmp_path / "flags")]) == 0
+    for name, strip in (("trials.csv", strip_wall_column), ("aggregate.csv", str)):
+        texts = [strip((tmp_path / run / name).read_text()) for run in ("file", "flags")]
+        assert texts[0] == texts[1]

@@ -390,8 +390,8 @@ def test_gap_to_capacity():
     rng = np.random.default_rng(13)
     h = rand_channel(rng, 2, 2, 50.0)
     c = dpc_sum_capacity(h)
-    assert abs(gap_to_capacity(RateReport("dpc", np.array([c])), h)) < 1e-12
-    zero = RateReport("none", np.zeros(2))
+    assert abs(gap_to_capacity(RateReport(np.array([c])), h)) < 1e-12
+    zero = RateReport(np.zeros(2))
     assert np.isclose(gap_to_capacity(zero, h), c)
 
 
@@ -408,12 +408,12 @@ def test_achievability_never_exceeds_capacity():
 
 
 def test_rate_report_invariants():
-    r = RateReport("x", np.array([1.0, 2.5]))
+    r = RateReport(np.array([1.0, 2.5]))
     assert r.sum_rate == 3.5
     with pytest.raises(ValueError):
-        RateReport("x", np.array([-0.1, 1.0]))
+        RateReport(np.array([-0.1, 1.0]))
     with pytest.raises(ValueError):
-        RateReport("x", np.array([np.inf, 1.0]))
+        RateReport(np.array([np.inf, 1.0]))
 
 
 def test_channel_validation():
