@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .designer import PrecoderDesign, PrecoderStack, precode
+from .gaussint import IntegerCoeffMatrix
 from .rates import ChannelMatrix, RateReport, _check_rates
 
 
@@ -32,10 +33,6 @@ def _waterfill(inv_gains: np.ndarray, budget) -> np.ndarray:
     return np.maximum(np.minimum(mu, np.finfo(np.float64).max) - inv_gains, 0.0)
 
 
-def _identity(k: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.eye(k, dtype=np.int64), np.zeros((k, k), dtype=np.int64)
-
-
 def zf_stack(h: ChannelMatrix) -> PrecoderStack:
     """Zero-forcing with water-filled power loading at every point of h.
 
@@ -47,7 +44,7 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
     # substitute p_i = M_ii |d_i|^2: water-fill with floors M_ii/snr, budget 1
     p = _waterfill(m_diag / np.asarray(h.snr)[..., None], 1.0)
     d = np.sqrt(p / m_diag).astype(np.complex128)
-    return precode(h, d, *_identity(h.k), regularized=False)
+    return precode(h, d, IntegerCoeffMatrix.identity(h.k), regularized=False)
 
 
 def design_zf(h: ChannelMatrix) -> PrecoderDesign:
@@ -62,7 +59,7 @@ def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
     Identical to the regularized integer-forcing construction restricted to
     A = I and D0 = I; per-user rates treat residual interference as noise.
     """
-    return precode(h, np.ones(h.k, dtype=np.complex128), *_identity(h.k), regularized=True)
+    return precode(h, np.ones(h.k, dtype=np.complex128), IntegerCoeffMatrix.identity(h.k), regularized=True)
 
 
 def design_rzf(h: ChannelMatrix) -> PrecoderDesign:

@@ -112,11 +112,11 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
 
         if args.gap_curve is not None:
             complex_curve = gap_curve(args.gap_curve, real_constraint=False)
             real_curve = gap_curve(args.gap_curve, real_constraint=True)
+            out_dir.mkdir(parents=True, exist_ok=True)
             lines = ["rho,gap_complex_bits,gap_real_bits"]
             for (rho, gc), (_, gr) in zip(complex_curve, real_curve):
                 lines.append(f"{rho:.12g},{gc:.12g},{gr:.12g}")
@@ -124,18 +124,16 @@ def main(argv=None) -> int:
             print(f"wrote {out_dir / 'gap_curve.csv'}")
             return 0
 
-        k = ExperimentConfig.k if args.k is None else args.k
-        settings = {"k": k, "m": k, "trials": ExperimentConfig.trials if k == 2 else 200}
-        for name in ("m", "trials", "seed", "restarts"):
-            if getattr(args, name) is not None:
-                settings[name] = getattr(args, name)
+        given = ("k", "m", "trials", "seed", "restarts")
+        settings = {name: getattr(args, name) for name in given if getattr(args, name) is not None}
         if args.snr_db is not None:
             settings["snr_db"] = parse_snr_spec(args.snr_db)
         if args.schemes is not None:
             settings["schemes"] = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-        elif args.real_integers and k == 2:
+        elif args.real_integers and settings.get("k", ExperimentConfig.k) == 2:
             settings["schemes"] = ExperimentConfig.schemes + ("dif_real",)
         cfg = ExperimentConfig(**settings)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

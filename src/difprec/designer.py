@@ -70,14 +70,13 @@ class PrecoderStack:
 
     Leading axes are those of the points, (T, S) or (S,), and (T, 1) or none
     for what does not vary with SNR (see ChannelMatrix).
-    a_re, a_im: integer parts of A (..., K, K); d: diagonal of D0 (..., K);
+    a: A, a (..., K, K) IntegerCoeffMatrix; d: diagonal of D0 (..., K);
     c: power scale (...); t: T (..., M, K), the precoder the rates are of;
     rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient or H = 0;
     regularized: whether M is the regularized inverse Gram matrix.
     """
 
-    a_re: np.ndarray
-    a_im: np.ndarray
+    a: IntegerCoeffMatrix
     d: np.ndarray
     c: np.ndarray
     t: np.ndarray
@@ -91,7 +90,7 @@ class PrecoderStack:
             raise linalg.SingularMatrixError()
         c = float(self.c)
         return PrecoderDesign(
-            a=IntegerCoeffMatrix(self.a_re, self.a_im),
+            a=self.a,
             d0=DiagonalScale(self.d, c=c, unit_det=unit_det),
             c=c,
             t=self.t,
@@ -104,8 +103,7 @@ class PrecoderStack:
 def precode(
     h: ChannelMatrix,
     d: np.ndarray,
-    a_re: np.ndarray,
-    a_im: np.ndarray,
+    a: IntegerCoeffMatrix,
     regularized: bool = False,
 ) -> PrecoderStack:
     """T = c H^H M D0 A at every point of h, with D0 = diag(d) and c
@@ -117,13 +115,13 @@ def precode(
     on an ill-conditioned channel to overrun the budget or report a rate
     above capacity.  A zero T (H = 0) has no c and NaN rates.
     """
-    y = linalg.matmul(h.inv_gram(regularized), d[..., :, None] * (a_re + 1j * a_im))
+    y = linalg.matmul(h.inv_gram(regularized), d[..., :, None] * a.to_complex())
     t = linalg.matmul(h.herm, y)
     power = linalg.frob_norm_sq(t)
     c = 1.0 / np.sqrt(np.where(power > 0.0, power, np.nan))
     t = c[..., None, None] * t
-    rates = if_rates(linalg.matmul(h.rows, t), a_re, a_im, h.snr, c * c * power)
-    return PrecoderStack(a_re, a_im, d, c, t, rates, regularized)
+    rates = if_rates(linalg.matmul(h.rows, t), a, h.snr, c * c * power)
+    return PrecoderStack(a, d, c, t, rates, regularized)
 
 
 def _rho(x: np.ndarray) -> np.ndarray:
@@ -146,17 +144,13 @@ def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
     return float(_rho(h.inv_gram(True) if regularized else h.gram))
 
 
-def _f_of_a(a_re: np.ndarray, a_im: np.ndarray, rho) -> np.ndarray:
-    a = a_re + 1j * a_im
+def f_of_a(a: IntegerCoeffMatrix, rho):
+    """||a_1|| ||a_2|| - rho |a_2 a_1^H|, the high-SNR design objective, per member of A (rho broadcast)."""
+    a = a.to_complex()
     a1, a2 = a[..., 0, :], a[..., 1, :]
     norms = linalg.norm_sq(a1) * linalg.norm_sq(a2)
     cross = (a1.conj() * a2).sum(axis=-1)
     return np.sqrt(norms) - rho * np.hypot(cross.real, cross.imag)
-
-
-def f_of_a(a: IntegerCoeffMatrix, rho: float) -> float:
-    """||a_1|| ||a_2|| - rho |a_2 a_1^H|: the high-SNR design objective."""
-    return float(_f_of_a(a.re, a.im, rho))
 
 
 def _check_rho(rho) -> np.ndarray:
@@ -198,28 +192,15 @@ def optimal_n(rho: float) -> int:
     return int(_optimal_n(rho))
 
 
-def _lower_unimodular(a21_re, a21_im) -> tuple[np.ndarray, np.ndarray]:
-    """Integer parts of [[1, 0], [a21, 1]] for each entry of an a21 stack."""
+def _lower_unimodular(a21_re, a21_im) -> IntegerCoeffMatrix:
+    """[[1, 0], [a21, 1]] for each entry of an a21 stack, as one stack."""
     shape = np.shape(a21_re)
     re = np.zeros(shape + (2, 2), dtype=np.int64)
     im = np.zeros(shape + (2, 2), dtype=np.int64)
     re[..., 0, 0] = re[..., 1, 1] = 1
     re[..., 1, 0] = a21_re
     im[..., 1, 0] = a21_im
-    return re, im
-
-
-def _optimal_a(rho) -> tuple[np.ndarray, np.ndarray]:
-    a21 = _each_distinct(two_square_decomp, _optimal_n(rho))
-    return _lower_unimodular(a21[..., 0], a21[..., 1])
-
-
-def _optimal_a_real(rho) -> tuple[np.ndarray, np.ndarray]:
-    # N = k^2 with k the floor or ceiling of u = rho / sqrt(1 - rho^2)
-    rho = _check_rho(rho)
-    u = rho / np.sqrt(1.0 - rho * rho)
-    n = _closer(np.floor(u) ** 2, np.ceil(u) ** 2, rho)
-    return _lower_unimodular(np.sqrt(n).astype(np.int64), 0)
+    return IntegerCoeffMatrix(re, im)
 
 
 def transition_rho(n: int) -> float:
@@ -234,19 +215,24 @@ def transition_rho(n: int) -> float:
     )
 
 
-def optimal_a_2user(rho: float) -> IntegerCoeffMatrix:
-    """Lower-triangular unimodular coefficient matrix minimizing f_of_a."""
-    return IntegerCoeffMatrix(*_optimal_a(rho))
+def optimal_a_2user(rho) -> IntegerCoeffMatrix:
+    """Lower-triangular unimodular coefficient matrix minimizing f_of_a, one per entry of rho."""
+    a21 = _each_distinct(two_square_decomp, _optimal_n(rho))
+    return _lower_unimodular(a21[..., 0], a21[..., 1])
 
 
-def optimal_a_2user_real(rho: float) -> IntegerCoeffMatrix:
-    """Best coefficient matrix when restricted to real integers (N = k^2)."""
-    return IntegerCoeffMatrix(*_optimal_a_real(rho))
+def optimal_a_2user_real(rho) -> IntegerCoeffMatrix:
+    """Best coefficient matrix when restricted to real integers (N = k^2), one per entry of rho."""
+    # N = k^2 with k the floor or ceiling of u = rho / sqrt(1 - rho^2)
+    rho = _check_rho(rho)
+    u = rho / np.sqrt(1.0 - rho * rho)
+    n = _closer(np.floor(u) ** 2, np.ceil(u) ** 2, rho)
+    return _lower_unimodular(np.sqrt(n).astype(np.int64), 0)
 
 
-def _optimal_d0(m: np.ndarray, a_re: np.ndarray, a_im: np.ndarray) -> np.ndarray:
+def _optimal_d0(m: np.ndarray, a: IntegerCoeffMatrix) -> np.ndarray:
     # exp(4 beta) = ||a_2||^2 M_22 / (||a_1||^2 M_11)
-    a = a_re + 1j * a_im
+    a = a.to_complex()
     v = linalg.norm_sq(a) * np.diagonal(m, axis1=-2, axis2=-1).real
     d1 = np.sqrt(np.sqrt(v[..., 1] / v[..., 0]))
     cross = (a[..., 0, :].conj() * a[..., 1, :]).sum(axis=-1) * m[..., 0, 1]
@@ -272,7 +258,7 @@ def optimal_d0_2user(
         raise ValueError("closed-form diagonal needs a two-user channel")
     if a.k != 2 or not a.is_full_rank():
         raise ValueError("need a full-rank 2 x 2 coefficient matrix")
-    return DiagonalScale(_optimal_d0(h.inv_gram(regularized), a.re, a.im), c=1.0, unit_det=True)
+    return DiagonalScale(_optimal_d0(h.inv_gram(regularized), a), c=1.0, unit_det=True)
 
 
 def build_precoder(
@@ -281,7 +267,7 @@ def build_precoder(
     """Assemble T = c H^H M D0 A with c saturating the unit power budget."""
     if not d0.unit_det:
         raise ValueError("build_precoder expects a unit-|det| diagonal")
-    return precode(h, d0.d, a.re, a.im, regularized).design()
+    return precode(h, d0.d, a, regularized).design()
 
 
 def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> float:
@@ -314,8 +300,8 @@ def dif_2user_stack(
     m = h.inv_gram(regularized)
     # fmax drops the NaN rho of a singular point (A = I there)
     rho = np.fmax(_rho(m) if regularized else _rho(h.gram), 0.0)
-    a_re, a_im = _optimal_a_real(rho) if real_constraint else _optimal_a(rho)
-    return precode(h, _optimal_d0(m, a_re, a_im), a_re, a_im, regularized)
+    a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
+    return precode(h, _optimal_d0(m, a), a, regularized)
 
 
 def design_dif_2user(
@@ -333,9 +319,9 @@ def asymptotic_gaps(rho, real_constraint: bool = False) -> np.ndarray:
     matrix, restricted to square N when only real integer coefficients are
     allowed.
     """
-    a_re, a_im = _optimal_a_real(rho) if real_constraint else _optimal_a(rho)
+    a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
     rho = np.asarray(rho, dtype=np.float64)
-    return 2.0 * np.log2(_f_of_a(a_re, a_im, rho) / np.sqrt(1.0 - rho * rho))
+    return 2.0 * np.log2(f_of_a(a, rho) / np.sqrt(1.0 - rho * rho))
 
 
 def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
@@ -454,13 +440,15 @@ def dif_generalk_stack(
             f[live] = np.maximum(fi, f[live])
         live = live[f[live] - f_sweep_start >= SWEEP_GAIN_BITS]
 
-    a, d = best_a.reshape(shape + (2, k, k)), best_d.reshape(shape + (k,))
+    best_a, d = best_a.reshape(shape + (2, k, k)), best_d.reshape(shape + (k,))
+    a = IntegerCoeffMatrix(best_a[..., 0, :, :], best_a[..., 1, :, :])
     if k == 2:  # the closed-form design wherever it rates higher or the search has none
-        searched = precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized).rates.sum(axis=-1)
+        searched = precode(h, d, a, regularized).rates.sum(axis=-1)
         won = np.isnan(searched) | (analytic.rates.sum(axis=-1) > searched)
         d = np.where(won[..., None], analytic.d, d)
-        a = np.where(won[..., None, None, None], np.stack((analytic.a_re, analytic.a_im), axis=-3), a)
-    return precode(h, d, a[..., 0, :, :], a[..., 1, :, :], regularized)
+        won = won[..., None, None]
+        a = IntegerCoeffMatrix(np.where(won, analytic.a.re, a.re), np.where(won, analytic.a.im, a.im))
+    return precode(h, d, a, regularized)
 
 
 def design_dif_generalk(

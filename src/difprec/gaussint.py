@@ -139,11 +139,12 @@ def det_exact(re: np.ndarray, im: np.ndarray):
 
 @dataclass(frozen=True)
 class IntegerCoeffMatrix:
-    """Square Gaussian-integer coefficient matrix, stored as exact int parts.
+    """Square Gaussian-integer coefficient matrix, or a (..., K, K) stack of them, as exact int parts.
 
     Rows are the per-user coefficient vectors; columns are what lattice
     reduction produces.  Conversion to complex floats is explicit so the
-    exact and floating worlds never mix silently.
+    exact and floating worlds never mix silently.  On a stack, row(i) gives
+    every member's row i; det_exact and the rank tests raise ValueError.
     """
 
     re: np.ndarray
@@ -152,14 +153,14 @@ class IntegerCoeffMatrix:
     def __post_init__(self):
         re = np.asarray(self.re, dtype=np.int64)
         im = np.asarray(self.im, dtype=np.int64)
-        if re.ndim != 2 or re.shape[0] != re.shape[1] or re.shape != im.shape:
+        if re.ndim < 2 or re.shape[-2] != re.shape[-1] or re.shape != im.shape:
             raise ValueError("coefficient matrix must be square, with matching parts")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
     @property
     def k(self) -> int:
-        return self.re.shape[0]
+        return self.re.shape[-1]
 
     @classmethod
     def identity(cls, k: int) -> "IntegerCoeffMatrix":
@@ -173,13 +174,15 @@ class IntegerCoeffMatrix:
         return cls(np.array(re, dtype=np.int64), np.array(im, dtype=np.int64))
 
     def to_complex(self) -> np.ndarray:
-        return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
+        return self.re + 1j * self.im
 
     def row(self, i: int) -> np.ndarray:
-        return self.re[i].astype(np.complex128) + 1j * self.im[i].astype(np.complex128)
+        return self.re[..., i, :] + 1j * self.im[..., i, :]
 
     def det_exact(self) -> GaussInt:
         """Exact determinant over the Gaussian integers."""
+        if self.re.ndim != 2:
+            raise ValueError("det_exact needs a single coefficient matrix, not a stack")
         re, im = det_exact(self.re, self.im)
         return GaussInt(int(re), int(im))
 

@@ -36,14 +36,18 @@ AGGREGATE_HEADER = "scheme,snr_db,mean_sum_rate_bits,mean_gap_bits,stderr_gap_bi
 @dataclass(frozen=True)
 class ExperimentConfig:
     k: int = 2
-    m: int = 2
+    m: int | None = None  # k when not given
     snr_db: tuple[float, ...] = tuple(np.arange(-10.0, 40.0 + 1e-9, 2.5))
-    trials: int = 1000
+    trials: int | None = None  # when not given: 1000 at k = 2, else 200
     seed: int = 1
     schemes: tuple[str, ...] = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc")
     restarts: int = 8
 
     def __post_init__(self):
+        if self.m is None:
+            object.__setattr__(self, "m", self.k)
+        if self.trials is None:
+            object.__setattr__(self, "trials", 1000 if self.k == 2 else 200)
         if not 1 <= self.k <= self.m:
             raise ValueError("need 1 <= k <= m")
         if self.trials < 1:

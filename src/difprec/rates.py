@@ -192,10 +192,10 @@ def comp_rate(h_eff: np.ndarray, a: np.ndarray, snr: float) -> float:
     return float(comp_rates(h_eff, a, snr))
 
 
-def if_rates(h_eff: np.ndarray, a_re: np.ndarray, a_im: np.ndarray, snr, power) -> np.ndarray:
+def if_rates(h_eff: np.ndarray, a: IntegerCoeffMatrix, snr, power) -> np.ndarray:
     """Per-user rates (..., K) of effective channels H_eff = H T with integer
-    coefficient matrices A = a_re + j a_im, all (..., K, K) stacks, at snr and
-    beamformer power trace(T^H T) broadcast against (...).
+    coefficient matrices A, both (..., K, K) stacks, at snr and beamformer
+    power trace(T^H T) broadcast against (...).
 
     Every precoder passes the same checks here: the power bound, A full rank
     (exact integer determinant) and finite, nonnegative rates.  A NaN power
@@ -204,10 +204,10 @@ def if_rates(h_eff: np.ndarray, a_re: np.ndarray, a_im: np.ndarray, snr, power) 
     power = np.asarray(power)
     if (power > 1.0 + POWER_TOL).any():
         raise ValueError(f"power constraint violated: trace(T^H T) = {np.nanmax(power)}")
-    d_re, d_im = det_exact(a_re, a_im)
+    d_re, d_im = det_exact(a.re, a.im)
     if np.any((d_re == 0) & (d_im == 0)):
         raise ValueError("coefficient matrix is rank deficient")
-    rates = comp_rates(h_eff, a_re + 1j * a_im, np.asarray(snr)[..., None])
+    rates = comp_rates(h_eff, a.to_complex(), np.asarray(snr)[..., None])
     _check_rates(rates)
     return rates
 
@@ -217,7 +217,7 @@ def if_sum_rate(h: ChannelMatrix, t: np.ndarray, a: IntegerCoeffMatrix) -> RateR
     t = linalg.cmatrix(t)
     if t.shape != (h.m, h.k):
         raise ValueError(f"beamforming matrix must be {h.m} x {h.k}")
-    rates = if_rates(linalg.matmul(h.h, t), a.re, a.im, h.snr, linalg.frob_norm_sq(t))
+    rates = if_rates(linalg.matmul(h.h, t), a, h.snr, linalg.frob_norm_sq(t))
     return RateReport(rates)
 
 

@@ -11,7 +11,6 @@ from difprec.baselines import design_rzf, design_zf
 from difprec.designer import (
     RHO_MAX,
     PrecoderStack,
-    _optimal_a,
     _optimal_n,
     asymptotic_gap,
     build_precoder,
@@ -163,7 +162,8 @@ def test_stacked_optimal_n_and_a_equal_scalar_calls():
     values = np.concatenate([[0.0, RHO_MAX], edges, rng.uniform(0.0, 0.99, 40)])
     rho = rng.permutation(np.concatenate([values, values[::3]])).reshape(16, 16)
     n = _optimal_n(rho)
-    a_re, a_im = _optimal_a(rho)
+    a = optimal_a_2user(rho)
+    a_re, a_im = a.re, a.im
     assert n.shape == rho.shape and a_re.shape == a_im.shape == rho.shape + (2, 2)
     for i, j in np.ndindex(rho.shape):
         r = float(rho[i, j])
@@ -172,6 +172,55 @@ def test_stacked_optimal_n_and_a_equal_scalar_calls():
         g = two_square_decomp(int(n[i, j]))
         assert np.array_equal(a_re[i, j], [[1, 0], [g.re, 1]])
         assert np.array_equal(a_im[i, j], [[0, 0], [g.im, 0]])
+
+
+def test_stacked_f_of_a_and_real_table_equal_scalar_calls():
+    """On a (T, S) stack of correlations, optimal_a_2user_real and f_of_a
+    (of the table's A and of random integer A) equal the scalar calls at
+    every point; the scalar calls return one 2 x 2 matrix and a float."""
+    rng = np.random.default_rng(18)
+    rho = np.concatenate([[0.0, RHO_MAX, 0.5], rng.uniform(0.0, 0.99, 21)]).reshape(4, 6)
+    table = optimal_a_2user_real(rho)
+    rand = IntegerCoeffMatrix(rng.integers(-3, 4, (4, 6, 2, 2)), rng.integers(-3, 4, (4, 6, 2, 2)))
+    f_table, f_rand, f_complex = f_of_a(table, rho), f_of_a(rand, rho), f_of_a(optimal_a_2user(rho), rho)
+    assert table.re.shape == rho.shape + (2, 2) and f_table.shape == f_rand.shape == rho.shape
+    for i, j in np.ndindex(rho.shape):
+        r = float(rho[i, j])
+        member = IntegerCoeffMatrix(rand.re[i, j], rand.im[i, j])
+        assert IntegerCoeffMatrix(table.re[i, j], table.im[i, j]) == optimal_a_2user_real(r)
+        assert f_table[i, j] == f_of_a(optimal_a_2user_real(r), r)
+        assert f_complex[i, j] == f_of_a(optimal_a_2user(r), r)
+        assert f_rand[i, j] == f_of_a(member, r)
+    for one in (optimal_a_2user(0.3), optimal_a_2user_real(0.3)):
+        assert one.re.shape == (2, 2) and isinstance(f_of_a(one, 0.3), float)
+
+
+def test_precode_with_a_stacked_a_equals_build_precoder_per_point():
+    """precode on a channel stack with one A and one unit-|det| D0 per
+    (trial, SNR) point gives, at every point, the T and rates of
+    build_precoder on that point alone, bit for bit."""
+    rng = np.random.default_rng(19)
+    snr = 10 ** (np.array([-10.0, 5.0, 30.0]) / 10)
+    for k in (2, 3):
+        h = (rng.standard_normal((4, k, k + 1)) + 1j * rng.standard_normal((4, k, k + 1))) / np.sqrt(2)
+        re, im = rng.integers(-3, 4, (2, 4, 3, k, k))
+        singular = np.abs(np.linalg.det(re + 1j * im)) < 0.5  # det is a Gaussian integer
+        re[singular], im[singular] = np.eye(k, dtype=np.int64), 0
+        a = IntegerCoeffMatrix(re, im)
+        beta = rng.uniform(-1.0, 1.0, (4, 3, k))
+        d = np.exp(beta - beta.mean(axis=-1, keepdims=True) + 1j * rng.uniform(0.0, 2 * np.pi, (4, 3, k)))
+        for regularized in (False, True):
+            stack = precode(ChannelMatrix(h, snr), d, a, regularized)
+            assert stack.a is a and stack.t.shape == (4, 3, k + 1, k)
+            for t, s in np.ndindex(4, 3):
+                one = build_precoder(
+                    ChannelMatrix(h[t], snr[s]),
+                    IntegerCoeffMatrix(re[t, s], im[t, s]),
+                    DiagonalScale(d[t, s], unit_det=True),
+                    regularized,
+                )
+                assert np.array_equal(one.t, stack.t[t, s])
+                assert np.array_equal(one.rates.per_user, stack.rates[t, s])
 
 
 def test_optimal_a_2user_examples():
@@ -465,8 +514,12 @@ def two_user_search_points(regularized):
     stack = dif_generalk_stack(ChannelMatrix(h, snr), list(range(8)), regularized, restarts=2)
     analytic = dif_2user_stack(ChannelMatrix(h, snr), regularized)
     won = (np.broadcast_to(analytic.d, stack.d.shape) == stack.d).all(axis=-1)
-    arrays = {name: x for name, x in vars(stack).items() if name != "regularized"}
-    point = lambda t, s: PrecoderStack(**{name: x[t, s] for name, x in arrays.items()}, regularized=regularized)  # noqa: E731
+    arrays = {name: x for name, x in vars(stack).items() if name not in ("a", "regularized")}
+
+    def point(t, s):
+        a = IntegerCoeffMatrix(stack.a.re[t, s], stack.a.im[t, s])
+        return PrecoderStack(a, **{name: x[t, s] for name, x in arrays.items()}, regularized=regularized)
+
     points = [(ChannelMatrix(h[t], snr[s]), point(t, s).design()) for t, s in np.ndindex(won.shape)]
     return points, won
 
@@ -503,7 +556,7 @@ def test_a_design_reports_its_own_variant():
     assert design_rzf(h2).regularized is True
     assert design_dif_2user(h2, real_constraint=True).regularized is False
     for r in (False, True):
-        assert precode(h2, np.ones(2, dtype=complex), eye.re, eye.im, regularized=r).regularized is r
+        assert precode(h2, np.ones(2, dtype=complex), eye, regularized=r).regularized is r
         assert design_dif_2user(h2, r).regularized is r
         for h in (h2, h3):
             assert design_dif_generalk(h, r, restarts=1).regularized is r

@@ -135,3 +135,38 @@ def test_coeff_matrix_det_matches_float():
             assert np.isclose(
                 complex(d.re, d.im), np.linalg.det(a.to_complex()), atol=1e-6
             )
+
+
+def test_coeff_matrix_holds_a_stack():
+    """A (T, S, K, K) stack: its K, complex form and equality are those of its
+    members; non-square and mismatched parts are refused."""
+    rng = np.random.default_rng(4)
+    re, im = rng.integers(-4, 5, (2, 3, 3, 3)), rng.integers(-4, 5, (2, 3, 3, 3))
+    a = IntegerCoeffMatrix(re, im)
+    assert a.k == 3 and a.re.shape == a.im.shape == (2, 3, 3, 3) and a.re.dtype == np.int64
+    z = a.to_complex()
+    assert z.shape == (2, 3, 3, 3) and z.dtype == np.complex128
+    for t, s in np.ndindex(2, 3):
+        member = IntegerCoeffMatrix(re[t, s], im[t, s])
+        assert np.array_equal(z[t, s], member.to_complex())
+        assert np.array_equal(a.row(1)[t, s], member.row(1))
+    assert a == IntegerCoeffMatrix(re.copy(), im.copy())
+    assert a != IntegerCoeffMatrix(re, im + (np.arange(3) == 2))
+    assert a != IntegerCoeffMatrix(re[:1], im[:1])
+    for bad_re, bad_im in (
+        (re[..., :2], im[..., :2]),  # K x (K - 1)
+        (re, im[:1]),  # parts of different stack shapes
+        (re[0, 0, 0], im[0, 0, 0]),  # a vector
+    ):
+        with pytest.raises(ValueError):
+            IntegerCoeffMatrix(bad_re, bad_im)
+
+
+def test_coeff_matrix_single_matrix_methods_refuse_a_stack():
+    """det_exact and the rank tests need a single matrix; a stack of one
+    member is refused too, so no axis of a stack is read as a matrix's."""
+    for shape in ((1, 2, 2), (4, 2, 2), (2, 3, 2, 2)):
+        a = IntegerCoeffMatrix(np.broadcast_to(np.eye(2, dtype=np.int64), shape), np.zeros(shape))
+        for method in (a.det_exact, a.is_full_rank, a.is_unimodular):
+            with pytest.raises(ValueError):
+                method()

@@ -645,6 +645,28 @@ def test_config_file_booleans_are_checked_as_the_flag(tmp_path, capsys):
     assert "dif_real" not in schemes["no"] and schemes["yes"] == schemes["no"] | {"dif_real"}
 
 
+def test_config_defaults_m_and_trials_by_k():
+    """ExperimentConfig's own defaults: m = k, and 1000 trials at k = 2, else 200."""
+    assert [(cfg.k, cfg.m, cfg.trials) for cfg in (ExperimentConfig(), ExperimentConfig(k=3))] == [
+        (2, 2, 1000),
+        (3, 3, 200),
+    ]
+    given = ExperimentConfig(k=3, m=4, trials=7)
+    assert (given.m, given.trials) == (4, 7)
+
+
+def test_refused_run_leaves_no_out_directory(tmp_path, capsys):
+    """Settings and a gap-curve resolution are checked before --out is made."""
+    for argv, message in (
+        (["--k", "3", "--m", "2"], "need 1 <= k <= m"),
+        (["--gap-curve", "1"], "error:"),
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_badly_typed_value_exits_2_from_a_file_and_a_flag(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("k = two\n")
