@@ -2,7 +2,7 @@
 
 Library layout:
 
-- linalg: small dense complex matrix kernel (numpy inverse/det, one singularity rule)
+- linalg: small dense complex matrix kernel (one QR factor for every precoder, one singularity rule)
 - gaussint: exact Gaussian-integer arithmetic and the two-squares set
 - msgprecode: finite-field message pre-inversion over Z_p[j]
 - rates: computation rates, achievable sum rates, broadcast sum capacity

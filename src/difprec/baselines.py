@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .designer import PrecoderDesign, PrecoderStack, precode
 from .gaussint import IntegerCoeffMatrix
 from .rates import ChannelMatrix, RateReport, _check_rates
@@ -40,7 +41,7 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
     sum_i M_ii |d_i|^2 = 1, so that c = 1 up to rounding; per-user rates are
     log2(1 + |d_i|^2 snr).
     """
-    m_diag = np.diagonal(h.inv_gram(), axis1=-2, axis2=-1).real
+    m_diag = linalg.norm_sq(h.factor().r_inv)  # M_ii, the squared row norms of R^-1
     # substitute p_i = M_ii |d_i|^2: water-fill with floors M_ii/snr, budget 1
     p = _waterfill(m_diag / np.asarray(h.snr)[..., None], 1.0)
     d = np.sqrt(p / m_diag).astype(np.complex128)
@@ -70,11 +71,10 @@ def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
 def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
     """Zero-forcing dirty-paper per-user rates (..., K) at every point of h.
 
-    H = L Q with L lower triangular and Q row-orthonormal (natural user
-    order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr; none to a zero gain.
+    H = L Q with L = R^H, R from the channel's factor, and Q row-orthonormal
+    (natural user order); powers water-fill over the gains |L_ii|^2 under sum p_i = snr; none to a zero gain.
     """
-    _, r = np.linalg.qr(h.herm, mode="reduced")
-    gains = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) ** 2
+    gains = np.abs(np.diagonal(h.factor().r, axis1=-2, axis2=-1)) ** 2
     inv_gains = np.divide(1.0, gains, out=np.full_like(gains, np.inf), where=gains > 0.0)
     rates = np.log2(1.0 + gains * _waterfill(inv_gains, h.snr))
     _check_rates(rates)

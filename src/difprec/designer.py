@@ -2,9 +2,10 @@
 
 The precoder family is T = c * H^H M D0 A with M = (H H^H)^-1 (plain) or
 M = (K/snr I + H H^H)^-1 (regularized), D0 a unit-|det| diagonal and A a
-full-rank Gaussian-integer matrix.  The plain variant forces H T = c D0 A
-exactly; the regularized variant trades exactness for finite-SNR rate and
-converges to the plain one as snr grows.
+full-rank Gaussian-integer matrix, and H^H M comes from the channel's QR
+factor.  The plain variant forces H T = c D0 A exactly; the regularized
+variant trades exactness for finite-SNR rate and converges to the plain one
+as snr grows.
 
 For two users everything is closed form: the channel correlation rho picks
 the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
@@ -72,7 +73,7 @@ class PrecoderStack:
     for what does not vary with SNR (see ChannelMatrix).
     a: A, a (..., K, K) IntegerCoeffMatrix; d: diagonal of D0 (..., K);
     c: power scale (...); t: T (..., M, K), the precoder the rates are of;
-    rates: per-user rates (..., K), NaN where M (or, searched, H^H M) is rank deficient or H = 0;
+    rates: per-user rates (..., K), NaN where the factor (or, searched, H^H M) is singular or H = 0;
     regularized: whether M is the regularized inverse Gram matrix.
     """
 
@@ -110,13 +111,12 @@ def precode(
     saturating the unit power budget: the one place a precoder is formed,
     normed and rated, so that if_sum_rate(h, T, A) gives its rates bit for bit.
 
-    The power and the effective channel H T are taken from T itself: formed
-    through G = H H^H (as y^H G y and G y) they lose about cond(G) eps, enough
-    on an ill-conditioned channel to overrun the budget or report a rate
-    above capacity.  A zero T (H = 0) has no c and NaN rates.
+    H^H M is the channel factor's Q1 R^-H, so the plain T forces H T = c D0 A
+    to about cond(R) eps, where an inverse of G = H H^H would give cond(G)
+    eps.  The power and H T are taken from T itself: formed through G they
+    would lose as much.  A zero T (H = 0) has no c and NaN rates.
     """
-    y = linalg.matmul(h.inv_gram(regularized), d[..., :, None] * a.to_complex())
-    t = linalg.matmul(h.herm, y)
+    t = linalg.matmul(h.factor(regularized).b, d[..., :, None] * a.to_complex())
     power = linalg.frob_norm_sq(t)
     c = 1.0 / np.sqrt(np.where(power > 0.0, power, np.nan))
     t = c[..., None, None] * t
@@ -136,12 +136,12 @@ def rho_of_channel(h: ChannelMatrix, regularized: bool = False) -> float:
 
     Both variants are |X_12| / sqrt(X_11 X_22): the plain one with X = H H^H,
     the regularized one with X = M = (K/snr I + H H^H)^-1, which tends to the
-    plain value at high SNR.  The plain variant never inverts, so a singular
+    plain value at high SNR.  The plain variant reads G, so a singular
     channel gets rho = RHO_MAX, or 0 if a row is zero.
     """
     if h.k != 2:
         raise ValueError("rho is defined for two-user channels")
-    return float(_rho(h.inv_gram(True) if regularized else h.gram))
+    return float(_rho(h.factor(True).m if regularized else h.gram))
 
 
 def f_of_a(a: IntegerCoeffMatrix, rho):
@@ -258,7 +258,7 @@ def optimal_d0_2user(
         raise ValueError("closed-form diagonal needs a two-user channel")
     if a.k != 2 or not a.is_full_rank():
         raise ValueError("need a full-rank 2 x 2 coefficient matrix")
-    return DiagonalScale(_optimal_d0(h.inv_gram(regularized), a), c=1.0, unit_det=True)
+    return DiagonalScale(_optimal_d0(h.factor(regularized).m, a), c=1.0, unit_det=True)
 
 
 def build_precoder(
@@ -273,15 +273,15 @@ def build_precoder(
 def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> float:
     """High-SNR rate of the exact-forcing two-user design:
 
-    2 log2+ [ det(H H^H) snr / (2 ||h_1|| ||h_2|| f(A, rho)) ].
+    2 log2+ [ det(H H^H) snr / (2 ||h_1|| ||h_2|| f(A, rho)) ], det(H H^H) = prod |r_jj|^2 (0 if singular).
     """
     if h.k != 2:
         raise ValueError("two-user formula")
     rho = rho_of_channel(h)
     if a is None:
         a = optimal_a_2user(rho)
-    g = h.gram
-    det_g = linalg.det(g).real
+    g, f = h.gram, h.factor()
+    det_g = 0.0 if f.singular else float(np.prod(np.abs(np.diagonal(f.r)) ** 2))
     n1 = math.sqrt(g[0, 0].real)
     n2 = math.sqrt(g[1, 1].real)
     return 2.0 * log2_pos(det_g * h.snr / (2.0 * n1 * n2 * f_of_a(a, rho)))
@@ -292,12 +292,12 @@ def dif_2user_stack(
 ) -> PrecoderStack:
     """Closed-form two-user designs at every point of h: rho -> table
     lookup for A -> diagonal -> T.  The plain design does not depend on
-    SNR; only its rates do.  A point whose M is singular gets NaN rates, and
-    A = I where it is the regularized M.
+    SNR; only its rates do.  A point whose factor is singular gets NaN rates,
+    and A = I where it is the regularized factor.
     """
     if h.k != 2:
         raise ValueError("closed-form design needs a two-user channel")
-    m = h.inv_gram(regularized)
+    m = h.factor(regularized).m
     # fmax drops the NaN rho of a singular point (A = I there)
     rho = np.fmax(_rho(m) if regularized else _rho(h.gram), 0.0)
     a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
@@ -357,7 +357,7 @@ def dif_generalk_stack(
     h: ChannelMatrix, seeds: list[int], regularized: bool = False, restarts: int = 8
 ) -> PrecoderStack:
     """Search-based designs for K >= 2 users at every point of h, with one
-    seed per channel.  A point whose M is singular or whose B = H^H M is rank
+    seed per channel.  A point whose factor is singular or whose B = H^H M is rank
     deficient gets NaN rates and A = I (for K = 2, the closed-form design).
 
     The diagonal is d_i = exp(beta_i + j theta_i), sum(beta) = 0, theta_1 = 0;
@@ -376,9 +376,8 @@ def dif_generalk_stack(
         raise ValueError("search-based design needs at least two users")
     if len(seeds) != (h.h.shape[0] if h.h.ndim == 3 else 1):
         raise ValueError("need one seed per channel")
-    m = h.inv_gram(regularized)
-    shape = np.broadcast_shapes(m.shape[:-2], np.shape(h.snr))
-    b = h.herm @ m
+    b = h.factor(regularized).b
+    shape = np.broadcast_shapes(b.shape[:-2], np.shape(h.snr))
     hb = np.broadcast_to(h.rows @ b, shape + (k, k)).reshape(-1, k, k)
     b = np.broadcast_to(b, shape + (h.m, k)).reshape(-1, h.m, k)
     snr = np.broadcast_to(h.snr, shape).reshape(-1)

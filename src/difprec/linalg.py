@@ -1,24 +1,26 @@
 """Small dense complex matrix kernel.
 
 All matrices are complex128 numpy arrays (row-major), either one 2-D matrix
-or a (..., n, n) stack of them.  Inverse and determinant are numpy's; what
-this module adds is one singularity rule for every size and every caller: a
-matrix is singular, with no inverse and determinant 0, when its smallest
-singular value is at most PIVOT_RTOL times its largest.  inverse decides the
-rule by a norm bound first: s_max <= ||m||_F and s_min >= 1/||m^-1||_F, so
-||m||_F ||m^-1||_F < 0.5/PIVOT_RTOL (half, for the error of the computed m^-1)
-proves a matrix regular; the SVD decides the rest.
+or a (..., n, k) stack of them.  Every precoder is formed from one QR factor
+(qr_factor), and one rule (singular) reads from a QR factor's diagonal
+whether a matrix is singular: when some |r_jj| is at most a tolerance times
+the norm of column j, which then lies within about that angle of the span
+of the columns before it.  Like the factor, the rule is blind to the scale
+of each column; for two columns it is exact: cond + 1/cond = 2/|sin angle|
+for the matrix with unit columns.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-PIVOT_RTOL = 1e-12
+FACTOR_RTOL = 1e-6  # of |r_jj| to its column's norm: about 1e-12 on the Gram matrix's singular values
 
 
 class SingularMatrixError(ValueError):
-    """Smallest singular value fell below the relative singularity threshold."""
+    """A matrix is singular by the QR diagonal rule (see singular)."""
 
     def __init__(self, message: str = "matrix is singular to working precision"):
         super().__init__(message)
@@ -66,44 +68,57 @@ def frob_norm_sq(m: np.ndarray):
     return (m.conj() * m).real.sum(axis=(-2, -1))
 
 
-def _is_singular(m: np.ndarray) -> np.ndarray:
-    """Singularity of m, or of each member of a (..., n, n) stack (bool array)."""
-    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
-        raise ValueError("det and inverse require a square matrix")
-    s = np.linalg.svd(m, compute_uv=False)
-    return s[..., -1] <= PIVOT_RTOL * s[..., 0]
+def singular(qnorm: np.ndarray, scale: np.ndarray, rtol: float) -> np.ndarray:
+    """The singularity rule, per member (...) of a stack: some |r_jj|^2 of qnorm (..., K) is at most
+    rtol^2 times scale_j, the squared norm of column j (..., K) or of the longest column (..., 1)."""
+    return (qnorm <= rtol * rtol * scale).any(axis=-1)
 
 
-def det(m: np.ndarray):
-    """Determinant (complex, or an array for a stack); 0 for matrices singular
-    at working precision."""
-    d = np.where(_is_singular(m), 0j, np.linalg.det(m))
-    return complex(d) if d.ndim == 0 else d
+@dataclass(frozen=True)
+class QRFactor:
+    """[X; s I] = [Q1; Q2] R for each member of an (..., n, k) stack X: r: R (..., k, k);
+    r_inv: R^-1; b: Q1 R^-H = X M (..., n, k), with M = (X^H X + s^2 I)^-1; singular: the
+    members (...) singular by FACTOR_RTOL, where r_inv, b and M are NaN (a single M raises)."""
+
+    r: np.ndarray
+    r_inv: np.ndarray
+    b: np.ndarray
+    singular: np.ndarray
+
+    @property
+    def m(self) -> np.ndarray:
+        if self.singular.ndim == 0 and self.singular:
+            raise SingularMatrixError()
+        return self.r_inv @ self.r_inv.swapaxes(-1, -2).conj()
 
 
-def inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a matrix, or of each member of a (..., n, n) stack.
-
-    A single singular matrix raises SingularMatrixError.  In a stack, the
-    singular members come back filled with NaN instead, so one singular member
-    does not cost the others their inverses.  The norm bound decides the rule
-    first, keeping LAPACK's inverse of each member it proves regular, and the
-    SVD decides the rest: all members when LAPACK meets an exactly singular one.
-    """
-    try:
-        inv = np.linalg.inv(m).astype(np.complex128, copy=False)
-    except np.linalg.LinAlgError:  # not square, or an exactly singular member
-        singular = _is_singular(m)
-        inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(m.shape[-1]), m))
-        inv = inv.astype(np.complex128, copy=False)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cleared = frob_norm_sq(m) * frob_norm_sq(inv) < (0.5 / PIVOT_RTOL) ** 2
-        if cleared.all():
-            return inv
-        singular = np.zeros_like(cleared)
-        singular[~cleared] = _is_singular(m[~cleared])
-    if m.ndim == 2 and singular:
-        raise SingularMatrixError()
-    inv[singular] = np.nan
-    return inv
+def qr_factor(x: np.ndarray, s=None) -> QRFactor:
+    """The QRFactor of an (..., n, k) stack x, with s (broadcast against ...)
+    or without the lower block.  Classical Gram-Schmidt projecting each column
+    twice, which leaves Q orthonormal to rounding (Giraud, Langou and
+    Rozloznik, 2005), on each member's own rows: the same bits in any stack.
+    Each column carries e_j along, which takes the same combinations and so
+    ends as column j of R^-1."""
+    n, k = x.shape[-2:]
+    l, eye = (n if s is None else n + k), np.eye(k)
+    shape = x.shape[:-2] if np.ndim(s) == 0 else np.broadcast_shapes(x.shape[:-2], np.shape(s))
+    cols = np.zeros(shape + (k, l + k), dtype=np.complex128)  # row j: column j of [x; s I], then e_j
+    cols[..., :n] = x.swapaxes(-1, -2)
+    if s is not None:
+        cols[..., n:l] = np.multiply.outer(s, eye)
+    cols[..., l:] = eye
+    q, r, qnorm = np.empty_like(cols), np.zeros(shape + (k, k), dtype=np.complex128), np.empty(shape + (k,))
+    for j in range(k):
+        v = cols[..., j, :]
+        for _ in range(2 if j else 0):
+            c = (q[..., :j, :l].conj() * v[..., None, :l]).sum(axis=-1)
+            r[..., :j, j] += c
+            for i in range(j):
+                v = v - c[..., i, None] * q[..., i, :]
+        qnorm[..., j] = norm_sq(v[..., :l])
+        r[..., j, j] = r_jj = np.sqrt(qnorm[..., j])
+        q[..., j, :] = v / (r_jj + (r_jj == 0.0))[..., None]  # a zero column stays zero
+    bad = singular(qnorm, norm_sq(cols[..., :l]), FACTOR_RTOL)
+    q[bad] = np.nan
+    r_inv = q[..., l:].swapaxes(-1, -2)
+    return QRFactor(r, r_inv, matmul(q[..., :n].swapaxes(-1, -2), r_inv.swapaxes(-1, -2).conj()), bad)

@@ -114,8 +114,9 @@ def _inverse_modp(a: IntegerCoeffMatrix, p: int):
     a unit column.  A column without a nonzero pivot means det(A) = 0 mod p.
 
     (x + yj)^-1 = (x - yj) (x^2 + y^2)^-1 mod p, and x^2 + y^2 = 0 mod p only
-    when x = y = 0 mod p, because p = 3 (mod 4).
-    """
+    when x = y = 0 mod p, because p = 3 (mod 4).  A stack of A raises ValueError."""
+    if a.re.ndim != 2:
+        raise ValueError("the message layer needs a single coefficient matrix, not a stack")
     k = a.k
     re, im = (a.re % p).tolist(), (a.im % p).tolist()
     rows = [list(zip(re[i] + [int(i == j) for j in range(k)], im[i] + [0] * k)) for i in range(k)]

@@ -81,30 +81,23 @@ class ChannelMatrix:
         g.setflags(write=False)
         return g
 
-    def inv_gram(self, regularized: bool = False) -> np.ndarray:
-        """M = G^-1, or (K/snr I + G)^-1 when regularized, inverted at most once
-        per flag and shared (read-only) by every precoder built on this channel.
-
-        The plain M is shaped like G; the regularized M at S SNR points is an
-        (S, K, K) or (T, S, K, K) stack, built by one inverse.  A single K x K
-        M raises linalg.SingularMatrixError when singular; the singular
-        members of a stack are NaN.
-        """
-        cache = self.__dict__.setdefault("_inverse_grams", {})
+    def factor(self, regularized: bool = False) -> linalg.QRFactor:
+        """The QR factor of H^H, or of [H^H; (K/snr)^1/2 I] when regularized,
+        built at most once per flag and shared by every precoder on this
+        channel: its b is H^H M, M = G^-1 or (K/snr I + G)^-1.  The plain
+        factor is shaped like G; the regularized one at S SNR points is an
+        (S, ...) or (T, S, ...) stack."""
+        cache = self.__dict__.setdefault("_factors", {})
         if regularized not in cache:
-            g = self.gram
-            if regularized:
-                g = g + (self.k / np.asarray(self.snr))[..., None, None] * np.eye(self.k)
-            m = linalg.inverse(g)
-            m.setflags(write=False)
-            cache[regularized] = m
+            shift = np.sqrt(self.k / np.asarray(self.snr)) if regularized else None
+            cache[regularized] = linalg.qr_factor(self.herm, shift)
         return cache[regularized]
 
 
 def _check_rates(per_user: np.ndarray) -> None:
     """The RateReport check for a stack of per-user rates (..., K): finite and
-    nonnegative, except that an all-NaN row is a point whose inverse Gram
-    matrix is singular and is left out."""
+    nonnegative, except that an all-NaN row is a point with no precoder (its
+    channel's factor is singular, or H = 0) and is left out."""
     ok = (per_user >= 0) & (per_user < np.inf)
     if not ok.all() and not (ok | np.isnan(per_user).all(axis=-1, keepdims=True)).all():
         raise ValueError("per-user rates must be finite and nonnegative")
@@ -199,7 +192,7 @@ def if_rates(h_eff: np.ndarray, a: IntegerCoeffMatrix, snr, power) -> np.ndarray
 
     Every precoder passes the same checks here: the power bound, A full rank
     (exact integer determinant) and finite, nonnegative rates.  A NaN power
-    marks a point whose inverse Gram matrix is singular; its rates stay NaN.
+    marks a point with no precoder; its rates stay NaN.
     """
     power = np.asarray(power)
     if (power > 1.0 + POWER_TOL).any():
@@ -282,7 +275,8 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     FW_GAP_BITS; its value comes from det(I + snr Q^1/2 G Q^1/2), exact for
     one user.  Rounding in S grows like snr ||G|| eps: a point that has not
     certified after FW_MAX_STEPS steps (rank-deficient channels far above
-    100 dB), or whose Z is singular in floating point, is NaN.
+    100 dB), or whose Z is singular by the factor rule, is NaN.  Z^-1 is
+    R^-1 R^-H of the QR factor of [(snr q)^1/2 H; I].
     """
     shape = np.broadcast_shapes(h.rows.shape[:-2], np.shape(h.snr))
     h_all = np.broadcast_to(h.rows, shape + (h.k, h.m)).reshape(-1, h.k, h.m)
@@ -294,8 +288,8 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
         snr_t = snr_all[todo][:, None, None]
         q_t, h_t = q[todo], h_all[todo]
         h_herm = h_t.swapaxes(-1, -2).conj()
-        z = np.eye(h.m) + snr_t * ((h_herm * q_t[:, None, :]) @ h_t)
-        a = snr_t * (h_t @ _solve_or_nan(z, h_herm))
+        hr = h_t @ linalg.qr_factor(np.sqrt(snr_t * q_t[:, :, None]) * h_t, 1.0).r_inv
+        a = snr_t * (hr @ hr.swapaxes(-1, -2).conj())
         s = a.diagonal(axis1=-2, axis2=-1).real
         done = s.max(axis=-1) - (s * q_t).sum(axis=-1) <= FW_GAP_BITS * math.log(2.0)
         q_pair = np.sqrt(q_t[done, :, None] * q_t[done, None, :])
@@ -317,31 +311,20 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     return capacity.reshape(shape), q.reshape(shape + (h.k,))
 
 
-def _solve_or_nan(z: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(z, b) over stacks of z and b, NaN for each member whose LU
-    factorization meets an exact zero pivot: one such member makes a stacked
-    solve raise for all of them, so the stack is then solved member by member."""
-    try:
-        return np.linalg.solve(z, b)
-    except np.linalg.LinAlgError:
-        if z.ndim == 2:
-            return np.full(b.shape, np.nan, dtype=np.complex128)
-        return np.stack([_solve_or_nan(z_n, b_n) for z_n, b_n in zip(z, b)])
-
-
 def hi_snr_sum_capacity(h: ChannelMatrix) -> float:
-    """K log2(snr/K) + log2 det(H H^H); the high-SNR capacity expansion.
+    """K log2(snr/K) + log2 det(H H^H); the high-SNR capacity expansion, with
+    det(H H^H) = prod |r_jj|^2 from the channel's factor.
 
     May be negative at low SNR; returned unclamped.  Raises
-    linalg.SingularMatrixError when H H^H is singular at working precision,
-    where the expansion is minus infinity.
+    linalg.SingularMatrixError when the factor is singular, where the
+    expansion is minus infinity.
     """
-    d = linalg.det(h.gram).real
-    if d <= 0.0:
+    f = h.factor()
+    if f.singular:
         raise linalg.SingularMatrixError(
             "H H^H is singular to working precision; the high-SNR capacity expansion diverges"
         )
-    return h.k * math.log2(h.snr / h.k) + math.log2(d)
+    return h.k * math.log2(h.snr / h.k) + 2.0 * float(np.log2(np.abs(np.diagonal(f.r))).sum())
 
 
 def gap_to_capacity(report: RateReport, h: ChannelMatrix) -> float:

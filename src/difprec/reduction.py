@@ -29,11 +29,11 @@ _upper = cache(lambda k: ~np.tri(k, k, -1, dtype=bool))  # a K x K diagonal and 
 def _gram_schmidt(g: np.ndarray):
     """R^T of a batched QR of an (N, M, K) stack (N, K, K), lower triangle only,
     the squared Gram-Schmidt norms |r_jj|^2, the squared column norms and the rank-
-    deficient members: a squared Gram-Schmidt norm at most 1e-24 times the largest column's."""
+    deficient members by linalg.singular: some |r_jj| at most 1e-12 times the longest column's norm."""
     rt = np.linalg.qr(g, mode="raw")[0][..., : g.shape[-1]]
     diag = np.diagonal(rt, axis1=-2, axis2=-1)
     qnorm, cols = diag.real**2 + diag.imag**2, linalg.norm_sq(np.swapaxes(g, -2, -1))
-    return rt, qnorm, cols, qnorm.min(axis=-1) <= 1e-24 * cols.max(axis=-1)
+    return rt, qnorm, cols, linalg.singular(qnorm, cols.max(axis=-1, keepdims=True), 1e-12)
 
 
 def rank_deficient(g: np.ndarray) -> np.ndarray:

@@ -183,7 +183,7 @@ def test_criterion_03_diagonal_oracle():
                 rho = rho_of_channel(h, regularized)
                 a = optimal_a_2user(rho)
                 d0 = optimal_d0_2user(h, a, regularized)
-                m = h.inv_gram(regularized)
+                m = h.factor(regularized).m
                 a_c = a.to_complex()
                 x_mine = d0.d[:, None] * a_c
                 mine = float(np.real(np.trace(np.conj(x_mine.T) @ m @ x_mine)))

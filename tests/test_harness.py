@@ -124,7 +124,7 @@ def test_infeasible_scheme_reports_nan_and_continues(capsys):
 
 
 def test_singular_channel_reports_nan_and_continues(monkeypatch, capsys):
-    """Rows 1e-7 apart make the plain inverse Gram singular to working precision."""
+    """Rows 1e-7 apart, at an angle of 4e-8, make the channel's plain factor singular."""
     rows = np.array([[1.0, 0.5j], [1.0 + 1e-7, 0.5j]])
     monkeypatch.setattr(harness, "draw_channel", lambda rng, k, m: rows)
     cfg = ExperimentConfig(snr_db=(10.0, 30.0), trials=2, schemes=("dif", "rdif", "dpc"), seed=1)
@@ -165,60 +165,63 @@ def test_dpc_rows_are_charged_the_capacity_time(monkeypatch):
     assert len(dpc_rows) == 6 and sum(r[6] for r in dpc_rows) >= 5.0
 
 
-def _count_gram_and_inverse(monkeypatch, cfg, trials=(0,)):
-    calls = {"gram": 0, "inverse": 0}
+def _count_gram_and_factor(monkeypatch, cfg, trials=(0,)):
+    """Calls of linalg.gram, and the distinct channel factors built."""
+    calls, factors = {"gram": 0}, []
+    gram, factor = linalg.gram, ChannelMatrix.factor
 
-    def counted(name):
-        fn = getattr(linalg, name)
+    def counted_gram(m):
+        calls["gram"] += 1
+        return gram(m)
 
-        def wrapper(m):
-            calls[name] += 1
-            return fn(m)
+    def counted_factor(self, regularized=False):
+        f = factor(self, regularized)
+        factors.extend([] if any(f is g for g in factors) else [f])
+        return f
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(linalg, name, counted(name))
+    monkeypatch.setattr(linalg, "gram", counted_gram)
+    monkeypatch.setattr(ChannelMatrix, "factor", counted_factor)
     harness.run_trials(cfg, trials)
-    return calls
+    return {**calls, "factor": len(factors)}
 
 
 def test_one_snr_point_builds_the_gram_once(monkeypatch):
-    """All seven schemes at one (trial, SNR) share the channel's G and both Ms."""
+    """All seven schemes at one (trial, SNR) share the channel's G and both factors."""
     cfg = ExperimentConfig(snr_db=(10.0,), trials=1, schemes=harness.ALL_SCHEMES, seed=3)
-    calls = _count_gram_and_inverse(monkeypatch, cfg)
-    assert calls["gram"] == 1 and calls["inverse"] <= 2
+    calls = _count_gram_and_factor(monkeypatch, cfg)
+    assert calls["gram"] == 1 and calls["factor"] <= 2
 
 
 def test_one_trial_builds_the_gram_once_for_all_snr_points(monkeypatch):
-    """One G, one plain M and one stacked inverse for the regularized Ms of all
-    21 SNR points (the per-point engine made 21 Grams and 42 inverses)."""
+    """One G, one plain factor and one stacked factor for the regularized Ms of
+    all 21 SNR points (the per-point engine made 21 Grams and 42 inverses)."""
     cfg = ExperimentConfig(trials=1, schemes=harness.ALL_SCHEMES, seed=3)
     assert len(cfg.snr_db) == 21
-    calls = _count_gram_and_inverse(monkeypatch, cfg)
-    assert calls["gram"] == 1 and calls["inverse"] <= 2
+    calls = _count_gram_and_factor(monkeypatch, cfg)
+    assert calls["gram"] == 1 and calls["factor"] <= 2
 
 
 def test_one_chunk_builds_the_gram_once_for_all_trials(monkeypatch):
-    """A worker's chunk of trials is one stack of channels: one G, one plain M
-    and one stacked regularized M (per-trial stacks made 50 and 100)."""
+    """A worker's chunk of trials is one stack of channels: one G, one plain
+    factor and one stacked regularized factor (per-trial stacks made 50 and 100)."""
     cfg = ExperimentConfig(trials=50, schemes=harness.ALL_SCHEMES, seed=3)
     assert harness.BLOCK_TRIALS >= cfg.trials
-    calls = _count_gram_and_inverse(monkeypatch, cfg, range(cfg.trials))
-    assert calls["gram"] == 1 and calls["inverse"] <= 2
+    calls = _count_gram_and_factor(monkeypatch, cfg, range(cfg.trials))
+    assert calls["gram"] == 1 and calls["factor"] <= 2
 
 
 def test_general_k_chunk_builds_the_gram_once(monkeypatch):
-    """The K = 3 searches read B and H B off the chunk's shared inverse Gram
-    matrices, as zf, rzf and dpc do: one G, one plain M and one stacked
-    regularized M for the whole chunk (a ChannelMatrix per (trial, SNR)
-    point made one G and one M per point and scheme)."""
+    """The K = 3 searches read B and H B off the chunk's shared factors, as zf
+    and rzf do: one plain factor and one stacked regularized factor for the
+    whole chunk, and no G, which only the two-user formulas read (a
+    ChannelMatrix per (trial, SNR) point made one G and one M per point and
+    scheme)."""
     cfg = ExperimentConfig(
         k=3, m=3, snr_db=(10.0, 25.0), trials=3, schemes=("dif", "rdif", "zf", "rzf", "dpc"),
         restarts=1, seed=6,
     )
-    calls = _count_gram_and_inverse(monkeypatch, cfg, range(cfg.trials))
-    assert calls["gram"] == 1 and calls["inverse"] <= 2
+    calls = _count_gram_and_factor(monkeypatch, cfg, range(cfg.trials))
+    assert calls["gram"] == 0 and calls["factor"] <= 2
 
 
 def test_two_user_output_does_not_depend_on_the_chunking(tmp_path, monkeypatch):

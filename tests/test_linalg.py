@@ -1,10 +1,14 @@
-"""Complex matrix kernel checks: numpy agreement and the singularity rule."""
+"""Complex matrix kernel checks: the QR factor against numpy, and the one
+singularity rule read from its diagonal."""
 
 import numpy as np
 import pytest
 
 from difprec import linalg
+from difprec.baselines import design_rzf, design_zf
+from difprec.designer import design_dif_2user, hi_snr_rate_2user
 from difprec.linalg import SingularMatrixError
+from difprec.rates import ChannelMatrix, hi_snr_sum_capacity
 
 
 def rand_cmatrix(rng, n, m=None):
@@ -13,101 +17,143 @@ def rand_cmatrix(rng, n, m=None):
 
 
 def test_inverse_trivial_cases():
-    assert np.allclose(linalg.inverse(np.eye(3, dtype=complex)), np.eye(3))
-    inv = linalg.inverse(linalg.cmatrix([[2, 0], [0, 1j]]))
-    assert np.allclose(inv, np.diag([0.5, -1j]))
+    """For a square channel H, b = H^H (H H^H)^-1 is H^-1 and m is (H H^H)^-1."""
+    for h in (np.eye(3, dtype=complex), linalg.cmatrix([[2, 0], [0, 1j]])):
+        f = linalg.qr_factor(h.conj().T)
+        assert not f.singular
+        assert np.allclose(f.b, np.linalg.inv(h), rtol=0, atol=1e-15)
+        assert np.allclose(f.m, np.linalg.inv(h @ h.conj().T), rtol=0, atol=1e-15)
 
 
 def test_inverse_residual_small():
+    """b is a right inverse of H: H b = I to 1e-12, square or wide, plain or
+    regularized, where H^H b = (H H^H + s^2 I)^-1 H H^H."""
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        m = rand_cmatrix(rng, 4)
-        res = m @ linalg.inverse(m) - np.eye(4)
-        assert np.sqrt(linalg.frob_norm_sq(res)) <= 1e-9 * np.sqrt(linalg.frob_norm_sq(m))
+    for m in (4, 6):
+        for _ in range(20):
+            h = rand_cmatrix(rng, 4, m)
+            assert np.abs(h @ linalg.qr_factor(h.conj().T).b - np.eye(4)).max() <= 1e-12
+            g = h @ h.conj().T
+            b = linalg.qr_factor(h.conj().T, 0.5).b
+            assert np.abs(h @ b - np.linalg.solve(g + 0.25 * np.eye(4), g)).max() <= 1e-12
+
+
+def singular_channels():
+    return [linalg.cmatrix([[1, 1], [1, 1]]), linalg.cmatrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]])]
 
 
 def test_inverse_singular_raises():
-    sing = linalg.cmatrix([[1, 1], [1, 1]])
+    """A singular channel's factor is flagged, its b is NaN, its m raises
+    SingularMatrixError, and so does a single-channel design on it."""
+    for h in singular_channels():
+        f = linalg.qr_factor(h.conj().T)
+        assert f.singular and np.isnan(f.b).all()
+        with pytest.raises(SingularMatrixError):
+            f.m
+        with pytest.raises(SingularMatrixError):
+            design_zf(ChannelMatrix(h, 10.0))
     with pytest.raises(SingularMatrixError):
-        linalg.inverse(sing)
-    with pytest.raises(SingularMatrixError):
-        linalg.inverse(linalg.cmatrix([[1, 2, 3], [4, 5, 6], [5, 7, 9]]))
+        design_dif_2user(ChannelMatrix(singular_channels()[0], 10.0))
 
 
 def test_det_trivial_and_closed_form():
-    assert linalg.det(np.eye(3, dtype=complex)) == 1
-    assert linalg.det(linalg.cmatrix([[2, 0], [0, 3]])) == 6
+    """det(H H^H) = prod |r_jj|^2, the determinant the high-SNR formulas read."""
+    def det_gram(h):
+        return np.prod(np.abs(np.diagonal(linalg.qr_factor(h.conj().T).r)) ** 2)
+
+    assert det_gram(np.eye(3, dtype=complex)) == 1
+    assert abs(det_gram(linalg.cmatrix([[2, 0], [0, 3]])) - 36) <= 1e-13
     rng = np.random.default_rng(5)
     for _ in range(20):
-        m = rand_cmatrix(rng, 2)
-        oracle = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        assert abs(linalg.det(m) - oracle) <= 1e-12 * abs(oracle)
+        h = rand_cmatrix(rng, 2, 3)
+        oracle = np.linalg.det(h @ h.conj().T).real
+        assert abs(det_gram(h) - oracle) <= 1e-12 * oracle
 
 
 def test_det_singular_is_zero():
-    assert linalg.det(linalg.cmatrix([[1, 1], [1, 1]])) == 0
-    assert linalg.det(linalg.cmatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])) == 0
+    """A singular channel has no high-SNR capacity expansion, and the
+    two-user high-SNR rate counts its det(H H^H) as 0."""
+    for h in singular_channels():
+        with pytest.raises(SingularMatrixError):
+            hi_snr_sum_capacity(ChannelMatrix(h, 100.0))
+    assert hi_snr_rate_2user(ChannelMatrix(singular_channels()[0], 100.0)) == 0.0
 
 
 def test_agrees_with_numpy():
+    """m is numpy's (X^H X + s^2 I)^-1 and b is X m, for square and tall X."""
     rng = np.random.default_rng(6)
     for n in range(1, 9):
-        for _ in range(10):
-            m = rand_cmatrix(rng, n)
-            d = np.linalg.det(m)
-            assert abs(linalg.det(m) - d) <= 1e-12 * abs(d)
-            inv = np.linalg.inv(m)
-            assert np.max(np.abs(linalg.inverse(m) - inv)) <= 1e-12 * np.max(np.abs(inv))
+        for rows in (n, n + 2):
+            for s in (None, 0.3):
+                x = rand_cmatrix(rng, rows, n)
+                m = np.linalg.inv(x.conj().T @ x + (0.0 if s is None else s * s) * np.eye(n))
+                f = linalg.qr_factor(x, s)
+                assert np.abs(f.m - m).max() <= 1e-12 * np.abs(m).max()
+                assert np.abs(f.b - x @ m).max() <= 1e-12 * np.abs(x @ m).max()
+
+
+def near_collinear(n, sine):
+    """Columns e_1 .. e_(n-1) and cos e_(n-1) + sine e_n: the last lies at
+    angle asin(sine) from the span of the others."""
+    x = np.eye(n, dtype=complex)
+    x[:, -1] = np.sqrt(1.0 - sine * sine) * x[:, -2] + sine * x[:, -1]
+    return x
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_singularity_threshold(n):
-    """Singular means smallest singular value <= PIVOT_RTOL (1e-12) x largest."""
-    sing = np.diag([1.0] * (n - 1) + [1e-13]).astype(complex)
-    with pytest.raises(SingularMatrixError):
-        linalg.inverse(sing)
-    assert linalg.det(sing) == 0
-    ok = np.diag([1.0] * (n - 1) + [1e-11]).astype(complex)
-    assert np.allclose(linalg.inverse(ok), np.diag([1.0] * (n - 1) + [1e11]))
-    assert abs(linalg.det(ok) - 1e-11) <= 1e-24
+    """Singular means some |r_jj| <= FACTOR_RTOL (1e-6) x its column's norm,
+    whatever the columns' scales; a zero column is singular.  Just above the
+    threshold b still inverts X to 1e-9."""
+    for sine, expected in ((0.9e-6, True), (1.1e-6, False)):
+        x = near_collinear(n, sine)
+        for scale in (1.0, 1e-7, 1e7):
+            x_scaled = x * np.r_[np.ones(n - 1), scale]
+            assert linalg.qr_factor(x_scaled).singular == expected
+        if not expected:
+            b = linalg.qr_factor(x).b
+            assert np.abs(x.conj().T @ b - np.eye(n)).max() <= 1e-9
+    x = np.eye(n, dtype=complex)
+    x[:, 1] = 0
+    assert linalg.qr_factor(x).singular
 
 
 def test_rank_deficient_products_are_singular():
     rng = np.random.default_rng(11)
     for n in range(3, 9):
         m = rand_cmatrix(rng, n, n - 1) @ rand_cmatrix(rng, n - 1, n)
-        with pytest.raises(SingularMatrixError):
-            linalg.inverse(m)
-        assert linalg.det(m) == 0
+        assert linalg.qr_factor(m).singular
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_stacks_follow_the_same_rule(n):
-    """A (..., n, n) stack is inverted member by member; its singular members
-    come back as NaN, the others as their own inverse, and their det is 0."""
+    """A (..., n, n) stack is factored member by member: each member gets the
+    flag and the bits it gets alone, also with its own shift s, and a
+    singular member's b and m are NaN."""
     rng = np.random.default_rng(12)
     stack = rand_cmatrix(rng, 3 * n, n).reshape(3, n, n)
-    stack[1] = np.diag([1.0] * (n - 1) + [1e-13])
-    inv = linalg.inverse(stack)
-    assert inv.shape == stack.shape
-    assert np.all(np.isnan(inv[1]))
-    for i in (0, 2):
-        single = linalg.inverse(stack[i])
-        assert np.max(np.abs(inv[i] - single)) <= 1e-12 * np.max(np.abs(single))
-    assert list(linalg._is_singular(stack)) == [False, True, False]
-    dets = linalg.det(stack)
-    assert dets[1] == 0
-    assert all(abs(dets[i] - linalg.det(stack[i])) <= 1e-12 * abs(dets[i]) for i in (0, 2))
+    stack[1] = near_collinear(n, 1e-7)
+    shifts = np.array([0.1, 0.2, 0.3])
+    for s in (None, shifts):
+        f = linalg.qr_factor(stack, s)
+        assert list(f.singular) == [False, s is None, False]
+        assert np.isnan(f.b[f.singular]).all() and np.isnan(f.m[f.singular]).all()
+        for i in range(3):
+            alone = linalg.qr_factor(stack[i], None if s is None else s[i])
+            assert alone.singular == f.singular[i]
+            for field in ("r", "r_inv", "b"):
+                assert np.array_equal(getattr(alone, field), getattr(f, field)[i], equal_nan=True), field
 
 
-def test_det_multiplicative():
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 4):
-        for _ in range(10):
-            a, b = rand_cmatrix(rng, n), rand_cmatrix(rng, n)
-            lhs = linalg.det(a @ b)
-            rhs = linalg.det(a) * linalg.det(b)
-            assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+def test_regularized_factor_of_a_zero_row_is_regular():
+    """A zero row makes the plain factor singular; the regularized factor is
+    regular, and RZF gives that user rate 0 and the other a positive rate."""
+    h = rand_cmatrix(np.random.default_rng(13), 2, 2)
+    h[1] = 0
+    ch = ChannelMatrix(h, 10.0)
+    assert ch.factor().singular and not ch.factor(True).singular
+    rates = design_rzf(ch).rates.per_user
+    assert rates[1] == 0.0 and rates[0] > 0.0
 
 
 def test_trace_and_frobenius():
@@ -155,8 +201,8 @@ def test_matmul_matches_numpy_on_stacks(k):
 
 
 def test_matmul_keeps_nan_members():
-    """The NaN members of a stack of inverse Gram matrices (singular channels)
-    give NaN products; the others are untouched."""
+    """The NaN members of a stack of factors' B (singular channels) give NaN
+    products; the others are untouched."""
     rng = np.random.default_rng(47)
     m = rand_cmatrix(rng, 8 * 2, 2).reshape(4, 2, 2, 2)
     m[1, 0] = m[3, 1] = np.nan
@@ -185,37 +231,26 @@ def conditioned_stack(rng, n, conds):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
-def test_norm_bound_agrees_with_svd_rule(n):
-    """inverse clears members by ||m||_F ||m^-1||_F < 0.5/PIVOT_RTOL before any
-    SVD; the members it marks singular must be exactly those _is_singular
-    marks, with condition numbers on both sides of the bound's 5e11 and the
-    rule's 1e12, and every other member must be np.linalg.inv of it alone."""
+def test_diagonal_rule_brackets_the_condition_number(n):
+    """With X_e the matrix X with unit columns, a member the rule marks
+    singular has cond(X_e) >= 1/FACTOR_RTOL, since the smallest singular value
+    of triangular R is at most its smallest |r_jj|; for two columns the rule
+    is exact: cond + 1/cond = 2/|sin angle| >= 2/FACTOR_RTOL.  Checked over
+    condition numbers 1e3 to 1e9, and on a stack holding a zero column."""
     rng = np.random.default_rng(30 + n)
-    # log-spaced over 1e9-1e15, and dense within 2e-4 of the rule's 1e12, where
-    # the computed m^-1 and the SVD each err by about 1e-4 of the condition number
-    near_rule = 1e12 * (1.0 + np.linspace(-2e-4, 2e-4, 200))
-    conds = np.concatenate([np.geomspace(1e9, 1e15, 61), near_rule])
-    base = conditioned_stack(rng, n, conds)
-    zero_row = base[len(base) // 2].copy()
-    zero_row[n // 2] = 0.0  # makes np.linalg.inv raise for a whole stack holding it
-    with_zero_row = np.concatenate([base, zero_row[None]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.inv(with_zero_row)
-    for stack in (base, with_zero_row, with_zero_row.reshape(-1, 2, n, n)):
-        singular = linalg._is_singular(stack)
-        assert singular.any() and not singular.all()
-        inv = linalg.inverse(stack)
-        assert (np.isnan(inv).all(axis=(-2, -1)) == singular).all()
-        assert not np.isnan(inv[~singular]).any()
-        members, inverses = stack[~singular], inv[~singular]
-        for member, member_inv in zip(members, inverses):
-            assert np.array_equal(member_inv, np.linalg.inv(member))
-    for member, singular in zip(with_zero_row, linalg._is_singular(with_zero_row)):
-        if singular:
-            with pytest.raises(SingularMatrixError):
-                linalg.inverse(member)
-        else:
-            assert np.array_equal(linalg.inverse(member), np.linalg.inv(member))
+    stack = conditioned_stack(rng, n, np.geomspace(1e3, 1e9, 121))
+    zero = stack[0].copy()
+    zero[:, n // 2] = 0.0
+    stack = np.concatenate([stack, zero[None]])
+    flags = linalg.qr_factor(stack).singular
+    assert flags.any() and not flags.all() and flags[-1]
+    for member, flag in zip(stack[:-1], flags[:-1]):
+        s = np.linalg.svd(member / np.linalg.norm(member, axis=0), compute_uv=False)
+        cond = s[0] / s[-1]
+        if flag:
+            assert cond >= (1.0 - 1e-6) / linalg.FACTOR_RTOL
+        if n == 2:
+            assert flag == (cond + 1.0 / cond >= 2.0 / linalg.FACTOR_RTOL)
 
 
 @pytest.mark.parametrize("k", range(2, 9))

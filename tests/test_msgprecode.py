@@ -104,6 +104,18 @@ def test_modp_inverse_not_invertible_raises():
         modp_inverse(gi_matrix([[(1, 0), (1, 0)], [(1, 0), (1, 0)]]), ModPField(7))
 
 
+def test_a_stack_of_coefficient_matrices_is_refused():
+    """The message layer takes one A: a stack raises ValueError, as the
+    single-matrix methods of IntegerCoeffMatrix do."""
+    field = ModPField(7)
+    stack = IntegerCoeffMatrix(np.tile(np.eye(2, dtype=np.int64), (3, 1, 1)), np.zeros((3, 2, 2), np.int64))
+    w = MessageMatrix(field, np.ones((2, 4)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="not a stack"):
+        modp_inverse(stack, field)
+    with pytest.raises(ValueError, match="not a stack"):
+        precode_messages(w, stack)
+
+
 def test_full_rank_matrix_with_det_zero_mod_p_is_refused():
     """det = 7: invertible over C, but neither inverted nor used to precode mod 7."""
     field = ModPField(7)

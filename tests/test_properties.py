@@ -25,7 +25,7 @@ from difprec.msgprecode import (
     recover_message,
 )
 from difprec.rates import ChannelMatrix, dpc_sum_capacity
-from difprec.reduction import shortest_independent_columns
+from difprec.reduction import rank_deficient, shortest_independent_columns
 
 PROFILE = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -68,7 +68,7 @@ def test_message_round_trip_and_inverse(problem):
 @PROFILE
 @given(st.integers(2, 6).flatmap(lambda k: complex_matrices(k, k)))
 def test_shortest_independent_columns_is_unimodular(g):
-    assume(linalg.det(g) != 0)
+    assume(not rank_deficient(g[None])[0])
     assert shortest_independent_columns(g).is_unimodular()
 
 
@@ -89,7 +89,7 @@ def two_user_channels(draw):
 @example(np.array([[1 + 1e-5j, 1e-5 + 1e-5j], [2 + 1e-5j, 1e-5 + 1e-5j]]), 0.0)
 def test_two_user_designs_respect_power_and_capacity(h, snr_db):
     ch = ChannelMatrix(h, 10.0 ** (snr_db / 10.0))
-    assume(linalg.det(ch.gram) != 0)
+    assume(not ch.factor().singular)  # the channels the library accepts
     capacity = dpc_sum_capacity(ch)
     designs = {
         "dif": design_dif_2user(ch, regularized=False),
@@ -104,6 +104,4 @@ def test_two_user_designs_respect_power_and_capacity(h, snr_db):
     ht = ch.h @ dif.t
     target = dif.c * (dif.d0.d[:, None] * dif.a.to_complex())
     residual = math.sqrt(linalg.frob_norm_sq(ht - target) / linalg.frob_norm_sq(ht))
-    # T is formed through M = G^-1, so forcing holds to about cond(G) eps: 1e-9
-    # up to cond(G) = 1e6, and measured below 0.6 cond(G) eps beyond that
-    assert residual <= max(1e-9, 100.0 * np.linalg.cond(ch.gram) * np.finfo(float).eps)
+    assert residual <= 1e-9

@@ -70,7 +70,7 @@ def sequential_search(h, regularized, restarts, seed, tol=SEARCH_TOL, gain=SWEEP
     golden sections to tol and a start ending after a sweep gaining under gain
     bits (or after MAX_SWEEPS sweeps); warm or cold lattice reductions."""
     k = h.k
-    b = h.h.conj().T @ h.inv_gram(regularized)
+    b = h.factor(regularized).b
     best = [-math.inf]
     last_a = [None]  # the running start's last A
 
@@ -130,7 +130,7 @@ def test_search_matches_sequential_oracle(k, snr_db, regularized, key):
     design = design_dif_generalk(h, regularized, restarts=2, seed=5)
     reference = sequential_search(h, regularized, restarts=2, seed=5)
     assert abs(design.rates.sum_rate - reference) <= AGREEMENT_BITS
-    b = h.h.conj().T @ h.inv_gram(regularized)
+    b = h.factor(regularized).b
     ones = DiagonalScale(np.ones(k, dtype=complex), c=1.0, unit_det=True)
     start = build_precoder(h, shortest_independent_columns(b), ones, regularized)
     assert design.rates.sum_rate >= start.rates.sum_rate - 1e-9
