@@ -1,11 +1,10 @@
 """Construction of diagonally-scaled exact integer-forcing precoders.
 
 The precoder family is T = c * H^H M D0 A with M = (H H^H)^-1 (plain) or
-M = (K/snr I + H H^H)^-1 (regularized), D0 a unit-|det| diagonal and A a
-full-rank Gaussian-integer matrix, and H^H M comes from the channel's QR
-factor.  The plain variant forces H T = c D0 A exactly; the regularized
-variant trades exactness for finite-SNR rate and converges to the plain one
-as snr grows.
+M = (K/snr I + H H^H)^-1 (regularized), H^H M from the channel's QR factor,
+D0 a unit-|det| diagonal and A a full-rank Gaussian-integer matrix.  The
+plain variant forces H T = c D0 A exactly; the regularized variant trades
+exactness for finite-SNR rate and converges to the plain one as snr grows.
 
 For two users everything is closed form: the channel correlation rho picks
 the integer matrix off a quantization table (optimal_n/optimal_a_2user) and

@@ -120,5 +120,7 @@ def qr_factor(x: np.ndarray, s=None) -> QRFactor:
         q[..., j, :] = v / (r_jj + (r_jj == 0.0))[..., None]  # a zero column stays zero
     bad = singular(qnorm, norm_sq(cols[..., :l]), FACTOR_RTOL)
     q[bad] = np.nan
-    r_inv = q[..., l:].swapaxes(-1, -2)
-    return QRFactor(r, r_inv, matmul(q[..., :n].swapaxes(-1, -2), r_inv.swapaxes(-1, -2).conj()), bad)
+    b = matmul(q[..., :n].swapaxes(-1, -2), q[..., l:].conj())  # Q1 R^-H: row j of q[..., l:] is column j of R^-1
+    for shared in (r, q, b):  # read-only, as a channel's factor is shared by every precoder on it
+        shared.setflags(write=False)
+    return QRFactor(r, q[..., l:].swapaxes(-1, -2), b, bad)
