@@ -11,23 +11,25 @@ Library layout:
 - baselines: ZF, RZF, ZF-DP reference schemes
 - harness: Monte-Carlo trials over Rayleigh fading, CSV output
 - cli: `difprec` command wrapping the harness
+
+The names below are the public API: the designers, rates and capacity of
+the one engine, the two-user closed forms, lattice reduction, Gaussian
+integers, the message layer and the harness.  The paper's reference
+formulas are not part of it; the tests keep them in tests/oracles.py.
 """
 
 from .baselines import design_rzf, design_zf, design_zfdp
 from .designer import (
     PrecoderDesign,
-    asymptotic_gap,
+    asymptotic_gaps,
     build_precoder,
     design_dif_2user,
     design_dif_generalk,
     f_of_a,
-    hi_snr_rate_2user,
     optimal_a_2user,
     optimal_a_2user_real,
     optimal_d0_2user,
-    optimal_n,
     rho_of_channel,
-    transition_rho,
 )
 from .gaussint import (
     GaussInt,
@@ -55,20 +57,8 @@ from .msgprecode import (
     precode_messages,
     recover_message,
 )
-from .rates import (
-    ChannelMatrix,
-    DiagonalScale,
-    RateReport,
-    comp_rate,
-    dif_rate,
-    dpc_sum_capacity,
-    effective_noise_var,
-    gap_to_capacity,
-    hi_snr_sum_capacity,
-    if_sum_rate,
-    optimal_alpha,
-)
-from .reduction import clll_reduce, reduction_objective, shortest_independent_columns
+from .rates import ChannelMatrix, RateReport, dpc_sum_capacity, if_sum_rate
+from .reduction import clll_reduce, shortest_independent_columns
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

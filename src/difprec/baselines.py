@@ -50,7 +50,7 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
 
 def design_zf(h: ChannelMatrix) -> PrecoderDesign:
     """Zero-forcing with water-filled power loading (see zf_stack)."""
-    return zf_stack(h).design(unit_det=False)
+    return zf_stack(h).design()
 
 
 def rzf_stack(h: ChannelMatrix) -> PrecoderStack:

@@ -17,14 +17,13 @@ import numpy as np
 
 from .harness import (
     ALL_SCHEMES,
+    MAX_POINTS as MAX_SNR_POINTS,  # values a range spec may give
     ExperimentConfig,
     gap_curve,
     run_experiment,
     write_aggregate_csv,
     write_trials_csv,
 )
-
-MAX_SNR_POINTS = 10**6  # values a range spec may give: far more than a run can finish
 
 
 def parse_snr_spec(spec: str) -> tuple[float, ...]:

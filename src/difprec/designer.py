@@ -7,7 +7,7 @@ plain variant forces H T = c D0 A exactly; the regularized variant trades
 exactness for finite-SNR rate and converges to the plain one as snr grows.
 
 For two users everything is closed form: the channel correlation rho picks
-the integer matrix off a quantization table (optimal_n/optimal_a_2user) and
+the integer matrix off a quantization table (optimal_a_2user) and
 the diagonal follows from a two-parameter minimization solved analytically
 (optimal_d0_2user).  For more users, dif_generalk_stack searches the
 diagonal at every point of a channel stack by coordinate golden sections,
@@ -31,14 +31,7 @@ from .gaussint import (
     floor_norm_set,
     two_square_decomp,
 )
-from .rates import (
-    ChannelMatrix,
-    DiagonalScale,
-    RateReport,
-    comp_rates,
-    if_rates,
-    log2_pos,
-)
+from .rates import ChannelMatrix, RateReport, comp_rates, if_rates
 from .reduction import rank_deficient, sorted_reduction
 
 # Numerically rank-deficient channels get their correlation clamped here so
@@ -53,10 +46,11 @@ MAX_SWEEPS = 30  # or after this many sweeps
 
 @dataclass(frozen=True)
 class PrecoderDesign:
-    """Everything a designer returns: coefficients, scaling, beamformer, rates."""
+    """Everything a designer returns: coefficients A, the (K,) complex diagonal
+    d of D0, power scale c, beamformer T and its rates."""
 
     a: IntegerCoeffMatrix
-    d0: DiagonalScale
+    d: np.ndarray
     c: float
     t: np.ndarray
     rates: RateReport
@@ -83,21 +77,12 @@ class PrecoderStack:
     rates: np.ndarray
     regularized: bool
 
-    def design(self, unit_det: bool = True, rho: float = math.nan) -> PrecoderDesign:
+    def design(self, rho: float = math.nan) -> PrecoderDesign:
         """The PrecoderDesign of a stack built for a channel at a single SNR.
         Raises linalg.SingularMatrixError where the stack's rates are NaN."""
         if np.isnan(self.rates).any():
             raise linalg.SingularMatrixError()
-        c = float(self.c)
-        return PrecoderDesign(
-            a=self.a,
-            d0=DiagonalScale(self.d, c=c, unit_det=unit_det),
-            c=c,
-            t=self.t,
-            rates=RateReport(self.rates),
-            regularized=self.regularized,
-            rho=rho,
-        )
+        return PrecoderDesign(self.a, self.d, float(self.c), self.t, RateReport(self.rates), self.regularized, rho)
 
 
 def precode(
@@ -174,21 +159,15 @@ def _each_distinct(f, n: np.ndarray) -> np.ndarray:
 
 
 def _optimal_n(rho) -> np.ndarray:
+    """Best |cross-correlation|^2 value N for each correlation of a rho array:
+    the floor or ceiling of rho^2/(1-rho^2) in the two-squares set, whichever
+    minimizes sqrt(N+1) - rho sqrt(N); ties go to the smaller N (smaller
+    coefficient norms help at finite SNR)."""
     rho = _check_rho(rho)
     x = rho * rho / (1.0 - rho * rho)
     # each scan depends on the floor or the ceiling of x alone
     lo = _each_distinct(floor_norm_set, np.floor(x).astype(np.int64))
     return _closer(lo, _each_distinct(ceil_norm_set, np.ceil(x).astype(np.int64)), rho)
-
-
-def optimal_n(rho: float) -> int:
-    """Best |cross-correlation|^2 value N for correlation rho.
-
-    N is the floor or ceiling of rho^2/(1-rho^2) in the two-squares set,
-    whichever minimizes sqrt(N+1) - rho sqrt(N); ties go to the smaller N
-    (smaller coefficient norms help at finite SNR).
-    """
-    return int(_optimal_n(rho))
 
 
 def _lower_unimodular(a21_re, a21_im) -> IntegerCoeffMatrix:
@@ -200,18 +179,6 @@ def _lower_unimodular(a21_re, a21_im) -> IntegerCoeffMatrix:
     re[..., 1, 0] = a21_re
     im[..., 1, 0] = a21_im
     return IntegerCoeffMatrix(re, im)
-
-
-def transition_rho(n: int) -> float:
-    """Correlation at which the optimal N switches to n (0 by convention at 0)."""
-    if n == 0:
-        return 0.0
-    if n < 0 or floor_norm_set(n) != n:
-        raise ValueError(f"{n} is not a sum of two squares")
-    n_minus = floor_norm_set(n - 1)
-    return (math.sqrt(n + 1.0) - math.sqrt(n_minus + 1.0)) / (
-        math.sqrt(n) - math.sqrt(n_minus)
-    )
 
 
 def optimal_a_2user(rho) -> IntegerCoeffMatrix:
@@ -244,8 +211,9 @@ def _optimal_d0(m: np.ndarray, a: IntegerCoeffMatrix) -> np.ndarray:
 
 def optimal_d0_2user(
     h: ChannelMatrix, a: IntegerCoeffMatrix, regularized: bool = False
-) -> DiagonalScale:
-    """Unit-|det| diagonal minimizing the scaling objective tr(A^H D0^H M D0 A).
+) -> np.ndarray:
+    """Unit-|det| diagonal d of D0, shape (2,), minimizing the scaling
+    objective tr(A^H D0^H M D0 A).
 
     With M the (possibly regularized) inverse Gram of the channel, the
     optimal magnitude split is exp(2 beta) = ||a_2|| sqrt(M_22) /
@@ -257,33 +225,18 @@ def optimal_d0_2user(
         raise ValueError("closed-form diagonal needs a two-user channel")
     if a.k != 2 or not a.is_full_rank():
         raise ValueError("need a full-rank 2 x 2 coefficient matrix")
-    return DiagonalScale(_optimal_d0(h.factor(regularized).m, a), c=1.0, unit_det=True)
+    return _optimal_d0(h.factor(regularized).m, a)
 
 
 def build_precoder(
-    h: ChannelMatrix, a: IntegerCoeffMatrix, d0: DiagonalScale, regularized: bool = False
+    h: ChannelMatrix, a: IntegerCoeffMatrix, d: np.ndarray, regularized: bool = False
 ) -> PrecoderDesign:
-    """Assemble T = c H^H M D0 A with c saturating the unit power budget."""
-    if not d0.unit_det:
-        raise ValueError("build_precoder expects a unit-|det| diagonal")
-    return precode(h, d0.d, a, regularized).design()
-
-
-def hi_snr_rate_2user(h: ChannelMatrix, a: IntegerCoeffMatrix | None = None) -> float:
-    """High-SNR rate of the exact-forcing two-user design:
-
-    2 log2+ [ det(H H^H) snr / (2 ||h_1|| ||h_2|| f(A, rho)) ], det(H H^H) = prod |r_jj|^2 (0 if singular).
-    """
-    if h.k != 2:
-        raise ValueError("two-user formula")
-    rho = rho_of_channel(h)
-    if a is None:
-        a = optimal_a_2user(rho)
-    g, f = h.gram, h.factor()
-    det_g = 0.0 if f.singular else float(np.prod(np.abs(np.diagonal(f.r)) ** 2))
-    n1 = math.sqrt(g[0, 0].real)
-    n2 = math.sqrt(g[1, 1].real)
-    return 2.0 * log2_pos(det_g * h.snr / (2.0 * n1 * n2 * f_of_a(a, rho)))
+    """Assemble T = c H^H M D0 A, D0 = diag(d), with c saturating the unit
+    power budget.  d must be (K,) with |prod d_i| = 1 within 1e-12."""
+    d = np.asarray(d, dtype=np.complex128)
+    if d.shape != (h.k,) or not abs(float(np.abs(d).prod()) - 1.0) <= 1e-12:
+        raise ValueError(f"build_precoder expects a unit-|det| diagonal of {h.k} entries")
+    return precode(h, d, a, regularized).design()
 
 
 def dif_2user_stack(
@@ -321,12 +274,6 @@ def asymptotic_gaps(rho, real_constraint: bool = False) -> np.ndarray:
     a = optimal_a_2user_real(rho) if real_constraint else optimal_a_2user(rho)
     rho = np.asarray(rho, dtype=np.float64)
     return 2.0 * np.log2(f_of_a(a, rho) / np.sqrt(1.0 - rho * rho))
-
-
-def asymptotic_gap(rho: float, real_constraint: bool = False) -> float:
-    """High-SNR shortfall (bits) of the two-user design at correlation rho
-    (see asymptotic_gaps)."""
-    return float(asymptotic_gaps(rho, real_constraint))
 
 
 def _golden_max(f, x: np.ndarray, i: int, half_width: float):

@@ -28,6 +28,8 @@ ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
 
 # trials per stacked pass of a scheme: bounds a worker's working memory
 BLOCK_TRIALS = 256
+# values an SNR range or a gap curve may have: far more than a run can finish
+MAX_POINTS = 10**6
 
 TRIALS_HEADER = "scheme,snr_db,trial,rho,sum_rate_bits,gap_bits,wall_ms"
 AGGREGATE_HEADER = "scheme,snr_db,mean_sum_rate_bits,mean_gap_bits,stderr_gap_bits"
@@ -215,8 +217,9 @@ def write_aggregate_csv(path, aggregate) -> None:
 
 
 def gap_curve(resolution: int, real_constraint: bool = False) -> np.ndarray:
-    """(rho, gap) samples of the high-SNR gap on a uniform grid over [0, 0.999]."""
-    if resolution < 2:
-        raise ValueError("need at least two grid points")
+    """(rho, gap) samples of the high-SNR gap on a uniform grid over [0, 0.999],
+    with 2 to MAX_POINTS points."""
+    if not 2 <= resolution <= MAX_POINTS:
+        raise ValueError(f"gap curve needs 2 to {MAX_POINTS} grid points")
     rhos = np.linspace(0.0, 0.999, resolution)
     return np.column_stack([rhos, asymptotic_gaps(rhos, real_constraint)])

@@ -108,6 +108,11 @@ def _matmul_modp(ar, ai, br, bi, p):
     return (ar @ br - ai @ bi) % p, (ar @ bi + ai @ br) % p
 
 
+def _check_single(a: IntegerCoeffMatrix) -> None:
+    if a.re.ndim != 2:
+        raise ValueError("the message layer needs a single coefficient matrix, not a stack")
+
+
 def _inverse_modp(a: IntegerCoeffMatrix, p: int):
     """(re, im) int64 parts of inv(A) mod p, by Gauss-Jordan elimination of
     [A | I] on rows of (re, im) pairs; each pivot column is dropped once it is
@@ -115,8 +120,7 @@ def _inverse_modp(a: IntegerCoeffMatrix, p: int):
 
     (x + yj)^-1 = (x - yj) (x^2 + y^2)^-1 mod p, and x^2 + y^2 = 0 mod p only
     when x = y = 0 mod p, because p = 3 (mod 4).  A stack of A raises ValueError."""
-    if a.re.ndim != 2:
-        raise ValueError("the message layer needs a single coefficient matrix, not a stack")
+    _check_single(a)
     k = a.k
     re, im = (a.re % p).tolist(), (a.im % p).tolist()
     rows = [list(zip(re[i] + [int(i == j) for j in range(k)], im[i] + [0] * k)) for i in range(k)]
@@ -158,11 +162,11 @@ def precode_messages(w: MessageMatrix, a: IntegerCoeffMatrix) -> MessageMatrix:
 def recover_message(i: int, w_prime: MessageMatrix, a: IntegerCoeffMatrix) -> MessageMatrix:
     """Row a_i times W' mod p: the i-th receiver's decoded combination.
 
-    Equals row i of the original message matrix whenever W' came from
-    precode_messages with the same (A, p).
+    Precondition: W' came from precode_messages with the same (A, p), which
+    proved A invertible mod p; then this is row i of the original message
+    matrix.  A is not checked again here.  A stack of A raises ValueError.
     """
-    if not modp_invertible(a, w_prime.field):
-        raise NotInvertibleModPError("coefficient matrix not invertible mod p")
+    _check_single(a)
     p = w_prime.field.p
     ar = a.re[i : i + 1] % p
     ai = a.im[i : i + 1] % p

@@ -24,13 +24,6 @@ FW_GAP_BITS = 1e-9  # certified distance of every K != 2 capacity to the optimum
 FW_MAX_STEPS = 1000  # random channels certify within 60 steps at K <= 8
 
 
-def log2_pos(x: float) -> float:
-    """max(0, log2(x))."""
-    if x <= 1.0:
-        return 0.0
-    return math.log2(x)
-
-
 @dataclass(frozen=True)
 class ChannelMatrix:
     """K x M complex downlink channel, or a (T, K, M) stack of them, with its
@@ -118,50 +111,6 @@ class RateReport:
         object.__setattr__(self, "sum_rate", float(per_user.sum()))
 
 
-@dataclass(frozen=True)
-class DiagonalScale:
-    """Diagonal scaling bundle: base entries d, scalar c; full scale is c*d.
-
-    With unit_det set, d is the |det| = 1 normalized part and c carries the
-    power normalization.
-    """
-
-    d: np.ndarray
-    c: float = 1.0
-    unit_det: bool = False
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.complex128).reshape(-1)
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError("c must be positive and finite")
-        if self.unit_det:
-            if (d == 0).any():
-                raise ValueError("unit-det scale requires nonzero entries")
-            prod = float(np.abs(d).prod())
-            if abs(prod - 1.0) > 1e-12:
-                raise ValueError(f"|det| = {prod} but unit-det scale requires 1")
-        object.__setattr__(self, "d", d)
-
-
-def optimal_alpha(h_eff: np.ndarray, a: np.ndarray, snr: float) -> complex:
-    """MMSE scalar minimizing the effective-noise variance.
-
-    alpha = snr * (a h'^H) / (1 + snr ||h'||^2), where x y^H is the row inner
-    product sum_k x_k conj(y_k).
-    """
-    h_eff = np.asarray(h_eff, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.complex128)
-    return complex(snr * np.vdot(h_eff, a) / (1.0 + snr * np.vdot(h_eff, h_eff).real))
-
-
-def effective_noise_var(alpha: complex, h_eff: np.ndarray, a: np.ndarray, snr: float) -> float:
-    """snr ||alpha h' - a||^2 + |alpha|^2."""
-    h_eff = np.asarray(h_eff, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.complex128)
-    diff = alpha * h_eff - a
-    return float(snr * np.vdot(diff, diff).real + abs(alpha) ** 2)
-
-
 def comp_rates(h_eff: np.ndarray, a: np.ndarray, snr) -> np.ndarray:
     """Computation rates of (h', a) pairs given as rows (..., K), with snr
     broadcast against (...):
@@ -176,13 +125,6 @@ def comp_rates(h_eff: np.ndarray, a: np.ndarray, snr) -> np.ndarray:
     num = 1.0 + h_sq * snr
     den = a_sq + (a_sq * h_sq - cross) * snr
     return np.log2(np.maximum(num / den, 1.0))
-
-
-def comp_rate(h_eff: np.ndarray, a: np.ndarray, snr: float) -> float:
-    """Computation rate of the pair (h', a) at the given SNR (see comp_rates)."""
-    h_eff = np.asarray(h_eff, dtype=np.complex128)
-    a = np.asarray(a, dtype=np.complex128)
-    return float(comp_rates(h_eff, a, snr))
 
 
 def if_rates(h_eff: np.ndarray, a: IntegerCoeffMatrix, snr, power) -> np.ndarray:
@@ -212,21 +154,6 @@ def if_sum_rate(h: ChannelMatrix, t: np.ndarray, a: IntegerCoeffMatrix) -> RateR
         raise ValueError(f"beamforming matrix must be {h.m} x {h.k}")
     rates = if_rates(linalg.matmul(h.h, t), a, h.snr, linalg.frob_norm_sq(t))
     return RateReport(rates)
-
-
-def dif_rate(a: IntegerCoeffMatrix, d: DiagonalScale, snr: float) -> RateReport:
-    """Closed-form rate when the precoded channel is exactly diag(d) A:
-
-    sum_i log2+ (1/||a_i||^2 + |d_i|^2 snr).
-    """
-    entries = d.c * d.d
-    if np.any(entries == 0):
-        raise ValueError("diagonal entries must be nonzero")
-    if entries.shape[0] != a.k:
-        raise ValueError("diagonal size must match coefficient matrix")
-    norms = linalg.norm_sq(a.to_complex())
-    rates = [log2_pos(1.0 / n + abs(e) ** 2 * snr) for n, e in zip(norms, entries)]
-    return RateReport(np.array(rates))
 
 
 def dpc_capacities(h: ChannelMatrix) -> np.ndarray:
@@ -309,23 +236,3 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
         q[todo, i] += step
         q[todo, j] -= step
     return capacity.reshape(shape), q.reshape(shape + (h.k,))
-
-
-def hi_snr_sum_capacity(h: ChannelMatrix) -> float:
-    """K log2(snr/K) + log2 det(H H^H); the high-SNR capacity expansion, with
-    det(H H^H) = prod |r_jj|^2 from the channel's factor.
-
-    May be negative at low SNR; returned unclamped.  Raises
-    linalg.SingularMatrixError when the factor is singular, where the
-    expansion is minus infinity.
-    """
-    f = h.factor()
-    if f.singular:
-        raise linalg.SingularMatrixError(
-            "H H^H is singular to working precision; the high-SNR capacity expansion diverges"
-        )
-    return h.k * math.log2(h.snr / h.k) + 2.0 * float(np.log2(np.abs(np.diagonal(f.r))).sum())
-
-
-def gap_to_capacity(report: RateReport, h: ChannelMatrix) -> float:
-    return dpc_sum_capacity(h) - report.sum_rate

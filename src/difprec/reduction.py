@@ -167,7 +167,3 @@ def shortest_independent_columns(g: np.ndarray) -> IntegerCoeffMatrix:
     a_re, a_im, _ = sorted_reduction(_single(g))
     return IntegerCoeffMatrix(a_re[0], a_im[0])
 
-
-def reduction_objective(g: np.ndarray, a: IntegerCoeffMatrix) -> float:
-    """Sum of squared norms of the columns of g @ A."""
-    return float(linalg.frob_norm_sq(np.asarray(g, dtype=np.complex128) @ a.to_complex()))

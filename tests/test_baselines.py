@@ -8,7 +8,7 @@ from difprec.baselines import design_rzf, design_zf, design_zfdp
 from difprec.designer import build_precoder, design_dif_2user
 from difprec.gaussint import IntegerCoeffMatrix
 from difprec.linalg import frob_norm_sq
-from difprec.rates import ChannelMatrix, DiagonalScale, dpc_sum_capacity
+from difprec.rates import ChannelMatrix, dpc_sum_capacity
 
 
 def rand_channel(rng, k, m, snr):
@@ -67,7 +67,7 @@ def test_rzf_equals_zf_on_identity_channel():
 def test_rzf_tends_to_uniform_zf_direction():
     rng = np.random.default_rng(2)
     eye = IntegerCoeffMatrix.identity(2)
-    ones = DiagonalScale(np.ones(2, dtype=complex), c=1.0, unit_det=True)
+    ones = np.ones(2, dtype=complex)
     for _ in range(20):
         h = rand_channel(rng, 2, 2, 1e7)
         rzf = design_rzf(h)
@@ -79,7 +79,7 @@ def test_rzf_tends_to_uniform_zf_direction():
 def test_rzf_is_regularized_design_with_identity_coefficients():
     rng = np.random.default_rng(3)
     eye = IntegerCoeffMatrix.identity(2)
-    ones = DiagonalScale(np.ones(2, dtype=complex), c=1.0, unit_det=True)
+    ones = np.ones(2, dtype=complex)
     for _ in range(10):
         h = rand_channel(rng, 2, 3, 12.0)
         a = design_rzf(h).rates.sum_rate

@@ -1,4 +1,5 @@
-"""The library depends on numpy and the standard library only."""
+"""The library depends on numpy and the standard library only, and the tests'
+reference formulas on nothing else either: not even on difprec."""
 
 import ast
 import sys
@@ -27,3 +28,11 @@ def test_library_imports_only_numpy_and_stdlib():
         if name not in ALLOWED
     }
     assert not stray, f"imports outside numpy + stdlib: {sorted(stray)}"
+
+
+def test_oracles_import_only_numpy_and_stdlib():
+    path = Path(__file__).with_name("oracles.py")
+    names = set(imported_top_level_names(path))
+    assert "numpy" in names
+    stray = names - ({"numpy"} | set(sys.stdlib_module_names))
+    assert not stray, f"tests/oracles.py imports outside numpy + stdlib: {sorted(stray)}"

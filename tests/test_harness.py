@@ -431,6 +431,8 @@ def test_gap_curve_samples():
     assert np.all(real_curve[:, 1] >= gap_curve(501)[:, 1] - 1e-12)
     with pytest.raises(ValueError):
         gap_curve(1)
+    with pytest.raises(ValueError, match="grid points"):
+        gap_curve(10**6 + 1)
 
 
 def test_parse_snr_spec():
@@ -481,7 +483,7 @@ def test_config_file_sets_jobs_and_flag_wins(tmp_path, monkeypatch):
     assert seen == [2, 1]
 
 
-def test_cli_gap_curve_and_errors(tmp_path):
+def test_cli_gap_curve_and_errors(tmp_path, capsys):
     out = tmp_path / "gc"
     rc = main(["--gap-curve", "64", "--out", str(out)])
     assert rc == 0
@@ -499,6 +501,10 @@ def test_cli_gap_curve_and_errors(tmp_path):
     assert main(["--snr-db", "10,10.0000000000001", "--out", str(tmp_path / "bad9")]) == 2
     for i, spec in enumerate(("nan", "inf", "4000", "-4000")):
         assert main([f"--snr-db={spec}", "--out", str(tmp_path / f"bad_snr{i}")]) == 2
+    # an oversized curve is refused before any array is built, and leaves no --out
+    assert main(["--gap-curve", "1000000000000", "--out", str(tmp_path / "bad_curve")]) == 2
+    assert "error: gap curve needs" in capsys.readouterr().err
+    assert not (tmp_path / "bad_curve").exists()
 
 
 def test_cli_single_user(tmp_path, capsys):

@@ -6,9 +6,9 @@ import pytest
 
 from difprec import linalg
 from difprec.baselines import design_rzf, design_zf
-from difprec.designer import design_dif_2user, hi_snr_rate_2user
+from difprec.designer import design_dif_2user
 from difprec.linalg import SingularMatrixError
-from difprec.rates import ChannelMatrix, hi_snr_sum_capacity
+from difprec.rates import ChannelMatrix
 
 
 def rand_cmatrix(rng, n, m=None):
@@ -71,12 +71,12 @@ def test_det_trivial_and_closed_form():
 
 
 def test_det_singular_is_zero():
-    """A singular channel has no high-SNR capacity expansion, and the
-    two-user high-SNR rate counts its det(H H^H) as 0."""
+    """A singular channel, whose det(H H^H) is 0, has a singular factor, and
+    the two-user design on it raises by name."""
     for h in singular_channels():
-        with pytest.raises(SingularMatrixError):
-            hi_snr_sum_capacity(ChannelMatrix(h, 100.0))
-    assert hi_snr_rate_2user(ChannelMatrix(singular_channels()[0], 100.0)) == 0.0
+        assert ChannelMatrix(h, 100.0).factor().singular
+    with pytest.raises(SingularMatrixError):
+        design_dif_2user(ChannelMatrix(singular_channels()[0], 100.0))
 
 
 def test_agrees_with_numpy():

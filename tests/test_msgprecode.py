@@ -114,6 +114,8 @@ def test_a_stack_of_coefficient_matrices_is_refused():
         modp_inverse(stack, field)
     with pytest.raises(ValueError, match="not a stack"):
         precode_messages(w, stack)
+    with pytest.raises(ValueError, match="not a stack"):
+        recover_message(0, w, stack)
 
 
 def test_full_rank_matrix_with_det_zero_mod_p_is_refused():

@@ -102,6 +102,6 @@ def test_two_user_designs_respect_power_and_capacity(h, snr_db):
         assert linalg.frob_norm_sq(design.t) <= 1.0 + 1e-9, scheme
     dif = designs["dif"]
     ht = ch.h @ dif.t
-    target = dif.c * (dif.d0.d[:, None] * dif.a.to_complex())
+    target = dif.c * (dif.d[:, None] * dif.a.to_complex())
     residual = math.sqrt(linalg.frob_norm_sq(ht - target) / linalg.frob_norm_sq(ht))
     assert residual <= 1e-9

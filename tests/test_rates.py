@@ -6,35 +6,27 @@ import warnings
 import numpy as np
 import pytest
 
+from difprec.designer import build_precoder, design_dif_2user
 from difprec.gaussint import GaussInt, IntegerCoeffMatrix
+from difprec.harness import ExperimentConfig, draw_channel, run_trials, trial_rng
 from difprec.linalg import SingularMatrixError
 from difprec.rates import (
     FW_GAP_BITS,
     ChannelMatrix,
-    DiagonalScale,
     RateReport,
     _dpc_pairwise,
-    comp_rate,
-    dif_rate,
+    comp_rates,
     dpc_capacities,
     dpc_sum_capacity,
-    effective_noise_var,
-    gap_to_capacity,
-    hi_snr_sum_capacity,
     if_sum_rate,
-    optimal_alpha,
 )
 
+import oracles
 
-def comp_rate_quadratic_oracle(h_eff, a, snr):
-    """Direct evaluation of the original quadratic-form computation rate."""
-    h_eff = np.asarray(h_eff, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    mat = np.eye(len(h_eff)) - (snr / (snr * np.vdot(h_eff, h_eff).real + 1)) * np.outer(
-        np.conj(h_eff), h_eff
-    )
-    q = np.real(np.conj(a) @ mat @ a.T) if a.ndim > 1 else np.real(a @ mat @ np.conj(a))
-    return max(0.0, math.log2(1.0 / q))
+
+def engine_rate(h_eff, a, snr):
+    """The engine's computation rate of one (h', a) pair."""
+    return float(comp_rates(np.asarray(h_eff, dtype=complex), np.asarray(a, dtype=complex), snr))
 
 
 def rand_vec(rng, k):
@@ -49,9 +41,9 @@ def rand_channel(rng, k, m, snr):
 def test_optimal_alpha_limits():
     e1 = np.array([1.0, 0.0])
     # matched vectors: alpha -> 1 as snr grows
-    assert abs(optimal_alpha(e1, e1, 1e12) - 1.0) < 1e-9
+    assert abs(oracles.optimal_alpha(e1, e1, 1e12) - 1.0) < 1e-9
     # orthogonal vectors: zero cross-correlation
-    assert optimal_alpha(e1, np.array([0.0, 1.0]), 10.0) == 0
+    assert oracles.optimal_alpha(e1, np.array([0.0, 1.0]), 10.0) == 0
 
 
 def test_optimal_alpha_is_the_grid_minimizer():
@@ -62,19 +54,19 @@ def test_optimal_alpha_is_the_grid_minimizer():
         if np.all(a == 0):
             a = np.array([1.0 + 0j, 0, 0])
         snr = float(rng.uniform(0.5, 50))
-        alpha = optimal_alpha(h_eff, a, snr)
-        best = effective_noise_var(alpha, h_eff, a, snr)
+        alpha = oracles.optimal_alpha(h_eff, a, snr)
+        best = oracles.effective_noise_var(alpha, h_eff, a, snr)
         # dense local grid around the claimed optimum plus a global sweep
         for re in np.linspace(alpha.real - 0.5, alpha.real + 0.5, 41):
             for im in np.linspace(alpha.imag - 0.5, alpha.imag + 0.5, 41):
-                assert best <= effective_noise_var(re + 1j * im, h_eff, a, snr) + 1e-12
+                assert best <= oracles.effective_noise_var(re + 1j * im, h_eff, a, snr) + 1e-12
 
 
 def test_effective_noise_trivials():
     e1 = np.array([1.0 + 0j, 0.0])
-    assert effective_noise_var(1.0, e1, e1, 123.0) == 1.0
+    assert oracles.effective_noise_var(1.0, e1, e1, 123.0) == 1.0
     a = np.array([2.0 + 0j, 1.0])
-    assert np.isclose(effective_noise_var(0.0, e1, a, 7.0), 7.0 * 5.0)
+    assert np.isclose(oracles.effective_noise_var(0.0, e1, a, 7.0), 7.0 * 5.0)
 
 
 def test_effective_noise_route_matches_comp_rate():
@@ -85,19 +77,18 @@ def test_effective_noise_route_matches_comp_rate():
         if np.all(a == 0):
             continue
         snr = float(rng.uniform(0.1, 1e4))
-        alpha = optimal_alpha(h_eff, a, snr)
-        via_noise = max(0.0, math.log2(snr / effective_noise_var(alpha, h_eff, a, snr)))
-        direct = comp_rate(h_eff, a, snr)
+        via_noise = oracles.comp_rate_mmse(h_eff, a, snr)
+        direct = engine_rate(h_eff, a, snr)
         assert abs(via_noise - direct) <= 1e-10 * max(1.0, direct)
 
 
 def test_comp_rate_trivials():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    assert comp_rate(e1, e1, 1.0) == 1.0
-    assert comp_rate(e1, e2, 123.0) == 0.0
+    assert engine_rate(e1, e1, 1.0) == 1.0
+    assert engine_rate(e1, e2, 123.0) == 0.0
     with pytest.raises(ValueError):
-        comp_rate(e1, np.zeros(2), 1.0)
+        engine_rate(e1, np.zeros(2), 1.0)
 
 
 def test_comp_rate_matches_quadratic_form():
@@ -112,8 +103,8 @@ def test_comp_rate_matches_quadratic_form():
         if np.all(a == 0):
             continue
         snr = float(rng.uniform(0.01, 1e5))
-        r1 = comp_rate(h_eff, a, snr)
-        r2 = comp_rate_quadratic_oracle(h_eff, a, snr)
+        r1 = engine_rate(h_eff, a, snr)
+        r2 = oracles.comp_rate_quadratic(h_eff, a, snr)
         assert abs(r1 - r2) <= 1e-10 * max(1.0, r1)
         checked += 1
 
@@ -128,8 +119,8 @@ def test_comp_rate_matched_direction_closed_form():
             continue
         d = complex(rng.standard_normal(), rng.standard_normal())
         snr = float(10 ** rng.uniform(-1, 4))
-        expected = max(0.0, math.log2(1.0 / np.vdot(a, a).real + abs(d) ** 2 * snr))
-        got = comp_rate(d * a, a, snr)
+        expected = oracles.dif_rate([a], [d], snr)[0]
+        got = engine_rate(d * a, a, snr)
         assert abs(got - expected) <= 1e-10 * max(1.0, expected)
 
 
@@ -179,29 +170,30 @@ def test_if_sum_rate_identity_coefficients_is_tin_rate():
 
 
 def test_dif_rate_examples():
+    """The closed form on examples; the engine refuses a D0 with a zero entry."""
     a = IntegerCoeffMatrix.identity(2)
-    d = DiagonalScale(np.array([1.0 + 0j, 1.0]), c=1.0)
-    assert dif_rate(a, d, 3.0).sum_rate == 4.0
+    d = np.array([1.0 + 0j, 1.0])
+    assert oracles.dif_rate(a.to_complex(), d, 3.0).sum() == 4.0
     # below-one arguments clamp to zero rate
     a2 = IntegerCoeffMatrix.from_rows(
         [[GaussInt(2, 0), GaussInt(0, 0)], [GaussInt(0, 0), GaussInt(2, 0)]]
     )
-    assert dif_rate(a2, d, 1e-9).sum_rate == 0.0
+    assert oracles.dif_rate(a2.to_complex(), d, 1e-9).sum() == 0.0
     with pytest.raises(ValueError):
-        dif_rate(a, DiagonalScale(np.array([0j, 1.0 + 0j]), c=1.0), 1.0)
+        build_precoder(ChannelMatrix(np.eye(2, dtype=complex), 1.0), a, np.array([0j, 1.0 + 0j]))
 
 
 def test_dif_rate_crosschecks_if_sum_rate():
     """Closed form equals the generic rate on exact-forcing designs."""
-    from difprec.designer import build_precoder, optimal_a_2user, optimal_d0_2user, rho_of_channel
+    from difprec.designer import optimal_a_2user, optimal_d0_2user, rho_of_channel
 
     rng = np.random.default_rng(7)
     for _ in range(20):
         h = rand_channel(rng, 2, 2, float(rng.uniform(1, 1e3)))
         a = optimal_a_2user(rho_of_channel(h))
         design = build_precoder(h, a, optimal_d0_2user(h, a), regularized=False)
-        closed = dif_rate(a, design.d0, h.snr)
-        assert np.allclose(closed.per_user, design.rates.per_user, rtol=1e-9, atol=1e-12)
+        closed = oracles.dif_rate(a.to_complex(), design.c * design.d, h.snr)
+        assert np.allclose(closed, design.rates.per_user, rtol=1e-9, atol=1e-12)
 
 
 SNR_GRID = 10.0 ** (np.arange(-10.0, 40.0 + 1e-9, 2.5) / 10.0)
@@ -368,36 +360,38 @@ def test_dpc_monotone_in_snr():
 
 
 def test_hi_snr_sum_capacity():
-    h = ChannelMatrix(np.eye(2, dtype=complex), 2.0)
-    assert hi_snr_sum_capacity(h) == 0.0
-    h200 = ChannelMatrix(h.h, 200.0)
-    assert abs(hi_snr_sum_capacity(h200) - 2 * math.log2(100)) < 1e-12
+    eye = np.eye(2, dtype=complex)
+    assert oracles.hi_snr_sum_capacity(eye, 2.0) == 0.0
+    assert abs(oracles.hi_snr_sum_capacity(eye, 200.0) - 2 * math.log2(100)) < 1e-12
     rng = np.random.default_rng(12)
     for _ in range(5):
         hr = rand_channel(rng, 2, 2, 1e6)
-        assert abs(dpc_sum_capacity(hr) - hi_snr_sum_capacity(hr)) <= 0.01
+        assert abs(dpc_sum_capacity(hr) - oracles.hi_snr_sum_capacity(hr.h, hr.snr)) <= 0.01
 
 
 def test_hi_snr_sum_capacity_of_a_singular_channel():
-    """Rows 1e-7 apart: H H^H is singular at working precision, and the
-    expansion (minus infinity) is refused by name, not by a math domain error."""
+    """Rows 1e-7 apart: H H^H is singular at working precision, where the
+    expansion is minus infinity.  The engine's rule refuses the channel by
+    name: its factor is singular and the two-user design raises."""
     h = ChannelMatrix(np.array([[1.0, 0.5j], [1.0 + 1e-7, 0.5j]]), 1e3)
-    with pytest.raises(SingularMatrixError, match="singular"):
-        hi_snr_sum_capacity(h)
+    assert h.factor().singular
+    with pytest.raises(SingularMatrixError):
+        design_dif_2user(h)
 
 
 def test_gap_to_capacity():
-    rng = np.random.default_rng(13)
-    h = rand_channel(rng, 2, 2, 50.0)
-    c = dpc_sum_capacity(h)
-    assert abs(gap_to_capacity(RateReport(np.array([c])), h)) < 1e-12
-    zero = RateReport(np.zeros(2))
-    assert np.isclose(gap_to_capacity(zero, h), c)
+    """A record's gap is its channel's sum capacity minus its sum rate, and 0
+    for dpc."""
+    cfg = ExperimentConfig(k=2, m=2, snr_db=(17.0,), trials=1, seed=13, schemes=("zf", "dpc"))
+    res = run_trials(cfg, [0])
+    c = dpc_sum_capacity(ChannelMatrix(draw_channel(trial_rng(13, 0), 2, 2), 10.0 ** 1.7))
+    dpc, zf = res.schemes.index("dpc"), res.schemes.index("zf")
+    assert abs(res.gap[dpc, 0, 0]) < 1e-12
+    assert np.isclose(res.gap[zf, 0, 0] + res.sum_rate[zf, 0, 0], c)
 
 
 def test_achievability_never_exceeds_capacity():
     from difprec.baselines import design_rzf, design_zf
-    from difprec.designer import design_dif_2user
 
     rng = np.random.default_rng(14)
     for _ in range(20):

@@ -27,8 +27,10 @@ from difprec.designer import (
     build_precoder,
     design_dif_generalk,
 )
-from difprec.rates import ChannelMatrix, DiagonalScale
+from difprec.rates import ChannelMatrix
 from difprec.reduction import shortest_independent_columns
+
+from oracles import comp_rate
 
 AGREEMENT_BITS = 1e-6
 # The designer's golden-section width and sweep gain before its stopping rule
@@ -37,14 +39,6 @@ AGREEMENT_BITS = 1e-6
 # golden width of 1e-2 falls 4.8e-3 bits on one of them.
 OLD_TOL = 1e-6
 FALL_BITS = 3e-3
-
-
-def comp_rate(h_eff, a, snr):
-    a_sq = np.vdot(a, a).real
-    h_sq = np.vdot(h_eff, h_eff).real
-    cross = abs(np.vdot(a, h_eff)) ** 2
-    x = (1.0 + h_sq * snr) / (a_sq + (a_sq * h_sq - cross) * snr)
-    return 0.0 if x <= 1.0 else math.log2(x)
 
 
 def golden_max(f, lo, hi, tol):
@@ -131,7 +125,7 @@ def test_search_matches_sequential_oracle(k, snr_db, regularized, key):
     reference = sequential_search(h, regularized, restarts=2, seed=5)
     assert abs(design.rates.sum_rate - reference) <= AGREEMENT_BITS
     b = h.factor(regularized).b
-    ones = DiagonalScale(np.ones(k, dtype=complex), c=1.0, unit_det=True)
+    ones = np.ones(k, dtype=complex)
     start = build_precoder(h, shortest_independent_columns(b), ones, regularized)
     assert design.rates.sum_rate >= start.rates.sum_rate - 1e-9
 

@@ -5,7 +5,8 @@ time with the scalar formulas the harness used before it evaluated each
 scheme over all SNR points of a trial at once: beamformer T = c H^H M D0 A
 built explicitly, H T for the effective channel, the computation rate row by
 row, water-filling by sorted floors, the clamped DPC vertex.  Those formulas
-are kept here, written out with numpy, as the reference.
+are kept here, written out with numpy, as the reference; the computation
+rate and the choice of N are the paper's, from oracles.py.
 """
 
 import math
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from difprec import harness
-from difprec.gaussint import ceil_norm_set, floor_norm_set, two_square_decomp
+from difprec.gaussint import two_square_decomp
 from difprec.harness import ALL_SCHEMES, ExperimentConfig, run_trials
+
+from oracles import comp_rate, optimal_n
 
 RHO_MAX = 1.0 - 1e-9
 SNR_DB = tuple(float(x) for x in np.arange(-10.0, 40.0 + 1e-9, 2.5))
@@ -32,14 +35,6 @@ def inverse(m):
     return np.linalg.inv(m)
 
 
-def comp_rate(h_eff, a, snr):
-    a_sq = np.vdot(a, a).real
-    h_sq = np.vdot(h_eff, h_eff).real
-    cross = abs(np.vdot(a, h_eff)) ** 2
-    x = (1.0 + h_sq * snr) / (a_sq + (a_sq * h_sq - cross) * snr)
-    return 0.0 if x <= 1.0 else math.log2(x)
-
-
 def if_sum_rate(h, t, a, snr):
     assert np.sum(np.abs(t) ** 2) <= 1.0 + 1e-9
     assert a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0] != 0
@@ -52,11 +47,7 @@ def rho_of(x):
 
 
 def optimal_a(rho):
-    x = rho * rho / (1.0 - rho * rho)
-    lo, hi = floor_norm_set(x), ceil_norm_set(x)
-    f_lo = math.sqrt(lo + 1.0) - rho * math.sqrt(lo)
-    f_hi = math.sqrt(hi + 1.0) - rho * math.sqrt(hi)
-    a21 = two_square_decomp(lo if f_lo <= f_hi else hi)
+    a21 = two_square_decomp(optimal_n(rho))
     return np.array([[1, 0], [complex(a21.re, a21.im), 1]])
 
 
