@@ -14,13 +14,15 @@ Library layout:
 
 The names below are the public API: the designers, rates and capacity of
 the one engine, the two-user closed forms, lattice reduction, Gaussian
-integers, the message layer and the harness.  The paper's reference
-formulas are not part of it; the tests keep them in tests/oracles.py.
+integers, the message layer and the harness.  A rated precoder is one type,
+single or stacked: each designer returns the PrecoderStack of its one point,
+whose rates are a RateReport.  The paper's reference formulas are not part
+of it; the tests keep them in tests/oracles.py.
 """
 
-from .baselines import design_rzf, design_zf, design_zfdp
+from .baselines import design_rzf, design_zf, zfdp_rates
 from .designer import (
-    PrecoderDesign,
+    PrecoderStack,
     asymptotic_gaps,
     build_precoder,
     design_dif_2user,

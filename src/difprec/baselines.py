@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .designer import PrecoderDesign, PrecoderStack, precode
+from .designer import PrecoderStack, _single, precode
 from .gaussint import IntegerCoeffMatrix
-from .rates import ChannelMatrix, RateReport, _check_rates
+from .rates import ChannelMatrix, RateReport
 
 
 def _waterfill(inv_gains: np.ndarray, budget) -> np.ndarray:
@@ -48,9 +48,9 @@ def zf_stack(h: ChannelMatrix) -> PrecoderStack:
     return precode(h, d, IntegerCoeffMatrix.identity(h.k), regularized=False)
 
 
-def design_zf(h: ChannelMatrix) -> PrecoderDesign:
+def design_zf(h: ChannelMatrix) -> PrecoderStack:
     """Zero-forcing with water-filled power loading (see zf_stack)."""
-    return zf_stack(h).design()
+    return _single(zf_stack(h))
 
 
 def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
@@ -63,12 +63,12 @@ def rzf_stack(h: ChannelMatrix) -> PrecoderStack:
     return precode(h, np.ones(h.k, dtype=np.complex128), IntegerCoeffMatrix.identity(h.k), regularized=True)
 
 
-def design_rzf(h: ChannelMatrix) -> PrecoderDesign:
+def design_rzf(h: ChannelMatrix) -> PrecoderStack:
     """Regularized zero-forcing with uniform loading (see rzf_stack)."""
-    return rzf_stack(h).design()
+    return _single(rzf_stack(h))
 
 
-def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
+def zfdp_rates(h: ChannelMatrix) -> RateReport:
     """Zero-forcing dirty-paper per-user rates (..., K) at every point of h.
 
     H = L Q with L = R^H, R from the channel's factor, and Q row-orthonormal
@@ -76,11 +76,4 @@ def zfdp_rates(h: ChannelMatrix) -> np.ndarray:
     """
     gains = np.abs(np.diagonal(h.factor().r, axis1=-2, axis2=-1)) ** 2
     inv_gains = np.divide(1.0, gains, out=np.full_like(gains, np.inf), where=gains > 0.0)
-    rates = np.log2(1.0 + gains * _waterfill(inv_gains, h.snr))
-    _check_rates(rates)
-    return rates
-
-
-def design_zfdp(h: ChannelMatrix) -> RateReport:
-    """Zero-forcing dirty-paper bound (see zfdp_rates)."""
-    return RateReport(zfdp_rates(h))
+    return RateReport(np.log2(1.0 + gains * _waterfill(inv_gains, h.snr)))

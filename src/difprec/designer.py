@@ -45,20 +45,6 @@ MAX_SWEEPS = 30  # or after this many sweeps
 
 
 @dataclass(frozen=True)
-class PrecoderDesign:
-    """Everything a designer returns: coefficients A, the (K,) complex diagonal
-    d of D0, power scale c, beamformer T and its rates."""
-
-    a: IntegerCoeffMatrix
-    d: np.ndarray
-    c: float
-    t: np.ndarray
-    rates: RateReport
-    regularized: bool
-    rho: float = math.nan
-
-
-@dataclass(frozen=True)
 class PrecoderStack:
     """Precoders T = c H^H M D0 A at every point of a ChannelMatrix, as stacks.
 
@@ -66,23 +52,25 @@ class PrecoderStack:
     for what does not vary with SNR (see ChannelMatrix).
     a: A, a (..., K, K) IntegerCoeffMatrix; d: diagonal of D0 (..., K);
     c: power scale (...); t: T (..., M, K), the precoder the rates are of;
-    rates: per-user rates (..., K), NaN where the factor (or, searched, H^H M) is singular or H = 0;
+    rates: the RateReport (..., K), NaN where the factor (or, searched, H^H M) is singular or H = 0;
     regularized: whether M is the regularized inverse Gram matrix.
+    A single-point designer returns the stack of its one point.
     """
 
     a: IntegerCoeffMatrix
     d: np.ndarray
     c: np.ndarray
     t: np.ndarray
-    rates: np.ndarray
+    rates: RateReport
     regularized: bool
 
-    def design(self, rho: float = math.nan) -> PrecoderDesign:
-        """The PrecoderDesign of a stack built for a channel at a single SNR.
-        Raises linalg.SingularMatrixError where the stack's rates are NaN."""
-        if np.isnan(self.rates).any():
-            raise linalg.SingularMatrixError()
-        return PrecoderDesign(self.a, self.d, float(self.c), self.t, RateReport(self.rates), self.regularized, rho)
+
+def _single(stack: PrecoderStack) -> PrecoderStack:
+    """stack, as a single-point designer returns it: raises
+    linalg.SingularMatrixError where its rates are NaN (no precoder)."""
+    if np.isnan(stack.rates.per_user).any():
+        raise linalg.SingularMatrixError()
+    return stack
 
 
 def precode(
@@ -153,8 +141,9 @@ def _closer(lo: np.ndarray, hi: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _each_distinct(f, n: np.ndarray) -> np.ndarray:
     """f(v) for each entry v of the integer array n, as an array (also for a 0-d
-    n) shaped n.shape + the shape of f's result; f runs once per distinct v."""
-    distinct = sorted(set(n.ravel().tolist()))
+    or empty n) shaped n.shape + the shape of f's result; f runs once per
+    distinct v, and on 0 for an empty n."""
+    distinct = sorted(set(n.ravel().tolist())) or [0]
     return np.array(list(map(f, distinct)))[np.array(distinct).searchsorted(n), ...]
 
 
@@ -230,13 +219,13 @@ def optimal_d0_2user(
 
 def build_precoder(
     h: ChannelMatrix, a: IntegerCoeffMatrix, d: np.ndarray, regularized: bool = False
-) -> PrecoderDesign:
+) -> PrecoderStack:
     """Assemble T = c H^H M D0 A, D0 = diag(d), with c saturating the unit
     power budget.  d must be (K,) with |prod d_i| = 1 within 1e-12."""
     d = np.asarray(d, dtype=np.complex128)
     if d.shape != (h.k,) or not abs(float(np.abs(d).prod()) - 1.0) <= 1e-12:
         raise ValueError(f"build_precoder expects a unit-|det| diagonal of {h.k} entries")
-    return precode(h, d, a, regularized).design()
+    return _single(precode(h, d, a, regularized))
 
 
 def dif_2user_stack(
@@ -258,9 +247,9 @@ def dif_2user_stack(
 
 def design_dif_2user(
     h: ChannelMatrix, regularized: bool = False, real_constraint: bool = False
-) -> PrecoderDesign:
+) -> PrecoderStack:
     """Closed-form two-user design at the single SNR of h (see dif_2user_stack)."""
-    return dif_2user_stack(h, regularized, real_constraint).design(rho=rho_of_channel(h))
+    return _single(dif_2user_stack(h, regularized, real_constraint))
 
 
 def asymptotic_gaps(rho, real_constraint: bool = False) -> np.ndarray:
@@ -388,8 +377,8 @@ def dif_generalk_stack(
     best_a, d = best_a.reshape(shape + (2, k, k)), best_d.reshape(shape + (k,))
     a = IntegerCoeffMatrix(best_a[..., 0, :, :], best_a[..., 1, :, :])
     if k == 2:  # the closed-form design wherever it rates higher or the search has none
-        searched = precode(h, d, a, regularized).rates.sum(axis=-1)
-        won = np.isnan(searched) | (analytic.rates.sum(axis=-1) > searched)
+        searched = precode(h, d, a, regularized).rates.sum_rate
+        won = np.isnan(searched) | (analytic.rates.sum_rate > searched)
         d = np.where(won[..., None], analytic.d, d)
         won = won[..., None, None]
         a = IntegerCoeffMatrix(np.where(won, analytic.a.re, a.re), np.where(won, analytic.a.im, a.im))
@@ -398,10 +387,7 @@ def dif_generalk_stack(
 
 def design_dif_generalk(
     h: ChannelMatrix, regularized: bool = False, restarts: int = 8, seed: int = 0
-) -> PrecoderDesign:
+) -> PrecoderStack:
     """Search-based design for K >= 2 users at the single SNR of h (see
-    dif_generalk_stack).  Raises linalg.SingularMatrixError where that stack
-    gives NaN rates."""
-    stack = dif_generalk_stack(h, [seed], regularized, restarts)
-    rho = rho_of_channel(h) if h.k == 2 else math.nan
-    return stack.design(rho=rho)
+    dif_generalk_stack)."""
+    return _single(dif_generalk_stack(h, [seed], regularized, restarts))

@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +27,12 @@ ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
 
 # trials per stacked pass of a scheme: bounds a worker's working memory
 BLOCK_TRIALS = 256
-# values an SNR range or a gap curve may have: far more than a run can finish
+# values an SNR range, a gap curve or a trial count may have; a K = 2 trial at
+# 21 SNRs and all 7 schemes takes about 6 KB and 0.2 ms (2 vCPUs), so 6 GB here
 MAX_POINTS = 10**6
+# restarts a search may take; each costs a K = 4 design about 11 ms and 5 KB
+# (2 vCPUs), so a design takes 11 s here and a 200-trial run over an hour
+MAX_RESTARTS = 1000
 
 TRIALS_HEADER = "scheme,snr_db,trial,rho,sum_rate_bits,gap_bits,wall_ms"
 AGGREGATE_HEADER = "scheme,snr_db,mean_sum_rate_bits,mean_gap_bits,stderr_gap_bits"
@@ -52,8 +55,8 @@ class ExperimentConfig:
             object.__setattr__(self, "trials", 1000 if self.k == 2 else 200)
         if not 1 <= self.k <= self.m:
             raise ValueError("need 1 <= k <= m")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
+        if not 1 <= self.trials <= MAX_POINTS:
+            raise ValueError(f"need 1 to {MAX_POINTS} trials")
         if len(self.snr_db) == 0:
             raise ValueError("snr list must be nonempty")
         with np.errstate(over="ignore"):
@@ -62,8 +65,8 @@ class ExperimentConfig:
             raise ValueError("every SNR must be finite and positive on the linear scale")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
+        if not 0 <= self.restarts <= MAX_RESTARTS:
+            raise ValueError(f"restarts must lie in 0 to {MAX_RESTARTS}")
         unknown = set(self.schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -108,7 +111,7 @@ class Results:
     wall_ms: np.ndarray
 
 
-# per-user rates of each scheme at every point of a stack of channels; for
+# the RateReport of each scheme at every point of a stack of channels; for
 # K > 2, run_trials searches dif and rdif instead; dif_real is NaN for K != 2
 _STACKED_RATES = {
     "zf": lambda ch: zf_stack(ch).rates,
@@ -145,10 +148,10 @@ def run_trials(cfg: ExperimentConfig, trials) -> Results:
             start = time.perf_counter()
             if scheme in ("dif", "rdif") and cfg.k > 2:
                 seeds = [_design_seed(cfg.seed, t) for t in trials[block]]
-                per_user = dif_generalk_stack(ch, seeds, scheme == "rdif", cfg.restarts).rates
+                report = dif_generalk_stack(ch, seeds, scheme == "rdif", cfg.restarts).rates
             else:
-                per_user = _STACKED_RATES[scheme](ch)
-            rates[schemes.index(scheme), :, block] = per_user.sum(axis=-1).T
+                report = _STACKED_RATES[scheme](ch)
+            rates[schemes.index(scheme), :, block] = report.sum_rate.T
             seconds[scheme] += time.perf_counter() - start
     if "dpc" in schemes:
         rates[schemes.index("dpc")] = capacity
@@ -171,6 +174,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> tuple[Results, list[
     if len(chunks) == 1:
         parts = [run_trials(cfg, chunks[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which only a pool needs
+
         with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             parts = list(pool.map(run_trials, [cfg] * len(chunks), chunks))
     columns = ("trials", "rho", "sum_rate", "gap", "wall_ms")

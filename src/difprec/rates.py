@@ -87,28 +87,23 @@ class ChannelMatrix:
         return cache[regularized]
 
 
-def _check_rates(per_user: np.ndarray) -> None:
-    """The RateReport check for a stack of per-user rates (..., K): finite and
-    nonnegative, except that an all-NaN row is a point with no precoder (its
-    channel's factor is singular, or H = 0) and is left out."""
-    ok = (per_user >= 0) & (per_user < np.inf)
-    if not ok.all() and not (ok | np.isnan(per_user).all(axis=-1, keepdims=True)).all():
-        raise ValueError("per-user rates must be finite and nonnegative")
-
-
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user achievable rates and their sum."""
+    """Per-user achievable rates, one (K,) vector or a (..., K) stack, and
+    their sum over the last axis.  Rates are finite and nonnegative, except
+    that an all-NaN row is a point with no precoder (its channel's factor is
+    singular, or H = 0) and sums to NaN."""
 
     per_user: np.ndarray
-    sum_rate: float = field(init=False)
+    sum_rate: np.ndarray = field(init=False)
 
     def __post_init__(self):
         per_user = np.asarray(self.per_user, dtype=np.float64)
-        if per_user.ndim != 1 or (per_user < 0).any() or not np.isfinite(per_user).all():
+        ok = (per_user >= 0) & (per_user < np.inf)
+        if not per_user.ndim or not ok.all() and not (ok | np.isnan(per_user).all(axis=-1, keepdims=True)).all():
             raise ValueError("per-user rates must be finite and nonnegative")
         object.__setattr__(self, "per_user", per_user)
-        object.__setattr__(self, "sum_rate", float(per_user.sum()))
+        object.__setattr__(self, "sum_rate", per_user.sum(axis=-1))
 
 
 def comp_rates(h_eff: np.ndarray, a: np.ndarray, snr) -> np.ndarray:
@@ -127,14 +122,14 @@ def comp_rates(h_eff: np.ndarray, a: np.ndarray, snr) -> np.ndarray:
     return np.log2(np.maximum(num / den, 1.0))
 
 
-def if_rates(h_eff: np.ndarray, a: IntegerCoeffMatrix, snr, power) -> np.ndarray:
-    """Per-user rates (..., K) of effective channels H_eff = H T with integer
+def if_rates(h_eff: np.ndarray, a: IntegerCoeffMatrix, snr, power) -> RateReport:
+    """The RateReport (..., K) of effective channels H_eff = H T with integer
     coefficient matrices A, both (..., K, K) stacks, at snr and beamformer
     power trace(T^H T) broadcast against (...).
 
     Every precoder passes the same checks here: the power bound, A full rank
-    (exact integer determinant) and finite, nonnegative rates.  A NaN power
-    marks a point with no precoder; its rates stay NaN.
+    (exact integer determinant) and RateReport's.  A NaN power marks a point
+    with no precoder; its rates stay NaN.
     """
     power = np.asarray(power)
     if (power > 1.0 + POWER_TOL).any():
@@ -142,9 +137,7 @@ def if_rates(h_eff: np.ndarray, a: IntegerCoeffMatrix, snr, power) -> np.ndarray
     d_re, d_im = det_exact(a.re, a.im)
     if np.any((d_re == 0) & (d_im == 0)):
         raise ValueError("coefficient matrix is rank deficient")
-    rates = comp_rates(h_eff, a.to_complex(), np.asarray(snr)[..., None])
-    _check_rates(rates)
-    return rates
+    return RateReport(comp_rates(h_eff, a.to_complex(), np.asarray(snr)[..., None]))
 
 
 def if_sum_rate(h: ChannelMatrix, t: np.ndarray, a: IntegerCoeffMatrix) -> RateReport:
@@ -152,8 +145,7 @@ def if_sum_rate(h: ChannelMatrix, t: np.ndarray, a: IntegerCoeffMatrix) -> RateR
     t = linalg.cmatrix(t)
     if t.shape != (h.m, h.k):
         raise ValueError(f"beamforming matrix must be {h.m} x {h.k}")
-    rates = if_rates(linalg.matmul(h.h, t), a, h.snr, linalg.frob_norm_sq(t))
-    return RateReport(rates)
+    return if_rates(linalg.matmul(h.h, t), a, h.snr, linalg.frob_norm_sq(t))
 
 
 def dpc_capacities(h: ChannelMatrix) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from difprec.baselines import design_rzf, design_zf, design_zfdp
+from difprec.baselines import design_rzf, design_zf, zfdp_rates
 from difprec.designer import build_precoder, design_dif_2user
 from difprec.gaussint import IntegerCoeffMatrix
 from difprec.linalg import frob_norm_sq
@@ -95,21 +95,21 @@ def test_baselines_respect_capacity_and_power():
         zf, rzf = design_zf(h), design_rzf(h)
         assert zf.rates.sum_rate <= cap + 1e-6
         assert rzf.rates.sum_rate <= cap + 1e-6
-        assert design_zfdp(h).sum_rate <= cap + 1e-6
+        assert zfdp_rates(h).sum_rate <= cap + 1e-6
         assert frob_norm_sq(zf.t) <= 1 + 1e-9
         assert frob_norm_sq(rzf.t) <= 1 + 1e-9
 
 
 def test_zfdp_identity_channel():
     h = ChannelMatrix(np.eye(2, dtype=complex), 6.0)
-    assert np.isclose(design_zfdp(h).sum_rate, 2 * math.log2(1 + 3.0), rtol=1e-12)
+    assert np.isclose(zfdp_rates(h).sum_rate, 2 * math.log2(1 + 3.0), rtol=1e-12)
 
 
 def test_zfdp_dominates_zf():
     rng = np.random.default_rng(5)
     for _ in range(30):
         h = rand_channel(rng, 2, 2, float(10 ** rng.uniform(-0.5, 3)))
-        assert design_zfdp(h).sum_rate >= design_zf(h).rates.sum_rate - 1e-9
+        assert zfdp_rates(h).sum_rate >= design_zf(h).rates.sum_rate - 1e-9
 
 
 def test_zf_gap_exceeds_dif_gap_at_high_snr():

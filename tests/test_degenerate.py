@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from difprec import harness
-from difprec.baselines import design_rzf, design_zf, design_zfdp, rzf_stack, zf_stack, zfdp_rates
+from difprec.baselines import design_rzf, design_zf, rzf_stack, zf_stack, zfdp_rates
 from difprec.designer import (
     design_dif_2user,
     design_dif_generalk,
@@ -33,7 +33,7 @@ def degenerate(kind: str, k: int) -> np.ndarray:
 
 
 def scalar_designers(k: int) -> dict:
-    designers = {"zf": design_zf, "rzf": design_rzf, "zfdp": design_zfdp}
+    designers = {"zf": design_zf, "rzf": design_rzf, "zfdp": zfdp_rates}
     if k == 2:
         designers.update(
             dif=design_dif_2user,
@@ -88,18 +88,18 @@ def test_stacks_leave_degenerate_points_nan_and_spare_the_rest(kind, k):
     snr = np.array([0.1, SNR, 1e3])
     both, alone = ChannelMatrix(np.stack([good, degenerate(kind, k)]), snr), ChannelMatrix(good[None], snr)
     stacks = {
-        "zf": lambda ch: zf_stack(ch).rates,
-        "rzf": lambda ch: rzf_stack(ch).rates,
-        "zfdp": zfdp_rates,
+        "zf": lambda ch: zf_stack(ch).rates.per_user,
+        "rzf": lambda ch: rzf_stack(ch).rates.per_user,
+        "zfdp": lambda ch: zfdp_rates(ch).per_user,
         "dpc": lambda ch: dpc_capacities(ch)[..., None],
     }
     if k == 2:
         stacks.update(
-            dif=lambda ch: dif_2user_stack(ch).rates,
-            rdif=lambda ch: dif_2user_stack(ch, regularized=True).rates,
+            dif=lambda ch: dif_2user_stack(ch).rates.per_user,
+            rdif=lambda ch: dif_2user_stack(ch, regularized=True).rates.per_user,
         )
-    stacks["dif_search"] = lambda ch: dif_generalk_stack(ch, [1] * len(ch.h), restarts=1).rates
-    stacks["rdif_search"] = lambda ch: dif_generalk_stack(ch, [1] * len(ch.h), True, restarts=1).rates
+    stacks["dif_search"] = lambda ch: dif_generalk_stack(ch, [1] * len(ch.h), restarts=1).rates.per_user
+    stacks["rdif_search"] = lambda ch: dif_generalk_stack(ch, [1] * len(ch.h), True, restarts=1).rates.per_user
     for name, rates_of in stacks.items():
         rates = rates_of(both)
         assert np.array_equal(rates[:1], rates_of(alone)), name

@@ -2,6 +2,7 @@
 reference formulas on nothing else either: not even on difprec."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +37,13 @@ def test_oracles_import_only_numpy_and_stdlib():
     assert "numpy" in names
     stray = names - ({"numpy"} | set(sys.stdlib_module_names))
     assert not stray, f"tests/oracles.py imports outside numpy + stdlib: {sorted(stray)}"
+
+
+def test_importing_difprec_leaves_multiprocessing_out():
+    """Only a --jobs > 1 run imports the process pool, and with it
+    multiprocessing: a fresh interpreter's import of the library does not."""
+    src = str(Path(difprec.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import difprec; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from difprec.baselines import design_rzf, design_zf
+from difprec.baselines import design_rzf, design_zf, rzf_stack, zf_stack
 from difprec.designer import (
     RHO_MAX,
     PrecoderStack,
@@ -26,8 +26,8 @@ from difprec.designer import (
     rho_of_channel,
 )
 from difprec.gaussint import GaussInt, IntegerCoeffMatrix, in_norm_set, two_square_decomp
-from difprec.linalg import frob_norm_sq
-from difprec.rates import ChannelMatrix, dpc_sum_capacity, if_sum_rate
+from difprec.linalg import SingularMatrixError, frob_norm_sq
+from difprec.rates import ChannelMatrix, RateReport, dpc_sum_capacity, if_sum_rate
 
 import oracles
 from oracles import optimal_n, transition_rho
@@ -204,7 +204,7 @@ def test_precode_with_a_stacked_a_equals_build_precoder_per_point():
                     regularized,
                 )
                 assert np.array_equal(one.t, stack.t[t, s])
-                assert np.array_equal(one.rates.per_user, stack.rates[t, s])
+                assert np.array_equal(one.rates.per_user, stack.rates.per_user[t, s])
 
 
 def test_optimal_a_2user_examples():
@@ -214,6 +214,15 @@ def test_optimal_a_2user_examples():
     a95 = optimal_a_2user(0.95)
     n = abs(complex(a95.re[1, 0], a95.im[1, 0])) ** 2
     assert round(n) in (9, 10)
+
+
+def test_two_user_tables_take_an_empty_stack():
+    """An empty rho array gives empty stacks of the right shape."""
+    for rho in (np.empty(0), np.empty((3, 0))):
+        for a in (optimal_a_2user(rho), optimal_a_2user_real(rho)):
+            assert a.re.shape == a.im.shape == rho.shape + (2, 2)
+        for real in (False, True):
+            assert asymptotic_gaps(rho, real).shape == rho.shape
 
 
 def test_optimal_a_2user_matches_bruteforce():
@@ -350,7 +359,7 @@ def test_design_dif_2user_orthogonal_channel():
     h = ChannelMatrix(np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex), 10.0)
     design = design_dif_2user(h)
     assert design.a == IntegerCoeffMatrix.identity(2)
-    assert design.rho == 0.0
+    assert rho_of_channel(h) == 0.0
 
 
 def test_design_hi_snr_rate_identity():
@@ -497,13 +506,14 @@ def two_user_search_points(regularized):
     stack = dif_generalk_stack(ChannelMatrix(h, snr), list(range(8)), regularized, restarts=2)
     analytic = dif_2user_stack(ChannelMatrix(h, snr), regularized)
     won = (np.broadcast_to(analytic.d, stack.d.shape) == stack.d).all(axis=-1)
-    arrays = {name: x for name, x in vars(stack).items() if name not in ("a", "regularized")}
+    arrays = {name: x for name, x in vars(stack).items() if name not in ("a", "rates", "regularized")}
 
     def point(t, s):
         a = IntegerCoeffMatrix(stack.a.re[t, s], stack.a.im[t, s])
-        return PrecoderStack(a, **{name: x[t, s] for name, x in arrays.items()}, regularized=regularized)
+        rates = RateReport(stack.rates.per_user[t, s])
+        return PrecoderStack(a, **{name: x[t, s] for name, x in arrays.items()}, rates=rates, regularized=regularized)
 
-    points = [(ChannelMatrix(h[t], snr[s]), point(t, s).design()) for t, s in np.ndindex(won.shape)]
+    points = [(ChannelMatrix(h[t], snr[s]), point(t, s)) for t, s in np.ndindex(won.shape)]
     return points, won
 
 
@@ -544,3 +554,61 @@ def test_a_design_reports_its_own_variant():
         for h in (h2, h3):
             assert design_dif_generalk(h, r, restarts=1).regularized is r
         assert build_precoder(h2, eye, optimal_d0_2user(h2, eye, r), r).regularized is r
+
+
+def test_a_single_point_designer_is_its_stack_at_that_point():
+    """Each single-point designer returns what its stack function gives at
+    that point, bit for bit, and raises SingularMatrixError exactly where the
+    stack's rates are NaN.  The channels are those of
+    test_a_design_reports_its_own_variant, stacked with a copy whose second
+    row is zero, at the SNRs of two_user_search_points."""
+    rng = np.random.default_rng(15)
+    h2, h3 = rand_channel(rng, 2, 2, 10.0).h, rand_channel(rng, 3, 3, 10.0).h
+    snr = 10 ** (np.array([-10.0, 0.0, 10.0, 30.0]) / 10)
+    eye = IntegerCoeffMatrix.identity(2)
+    d0 = optimal_d0_2user(ChannelMatrix(h2, 10.0), eye)  # the plain D0 does not depend on SNR
+    designers = {
+        "zf": (design_zf, zf_stack),
+        "rzf": (design_rzf, rzf_stack),
+        "dif": (design_dif_2user, dif_2user_stack),
+        "rdif": (lambda h: design_dif_2user(h, True), lambda ch: dif_2user_stack(ch, True)),
+        "dif_real": (
+            lambda h: design_dif_2user(h, real_constraint=True),
+            lambda ch: dif_2user_stack(ch, real_constraint=True),
+        ),
+        "build_precoder": (lambda h: build_precoder(h, eye, d0), lambda ch: precode(ch, d0, eye)),
+        "rbuild_precoder": (lambda h: build_precoder(h, eye, d0, True), lambda ch: precode(ch, d0, eye, True)),
+    }
+    searches = {
+        "search": (
+            lambda h: design_dif_generalk(h, restarts=1, seed=5),
+            lambda ch: dif_generalk_stack(ch, [5, 5], restarts=1),
+        ),
+        "rsearch": (
+            lambda h: design_dif_generalk(h, True, restarts=1, seed=5),
+            lambda ch: dif_generalk_stack(ch, [5, 5], True, restarts=1),
+        ),
+    }
+    raised = set()
+    for h, cases in ((h2, designers), (h3, searches)):
+        zero_row = h.copy()
+        zero_row[1] = 0
+        channels = np.stack([h, zero_row])
+        for name, (single, stacked) in cases.items():
+            stack = stacked(ChannelMatrix(channels, snr))
+            lead = stack.rates.sum_rate.shape
+            fields = {"re": (stack.a.re, 2), "im": (stack.a.im, 2), "d": (stack.d, 1), "c": (stack.c, 0)}
+            fields.update(t=(stack.t, 2), rates=(stack.rates.per_user, 1))
+            for t, s in np.ndindex(lead):
+                point = ChannelMatrix(channels[t], snr[s])
+                if np.isnan(stack.rates.per_user[t, s]).any():
+                    with pytest.raises(SingularMatrixError):
+                        single(point)
+                    raised.add(name)
+                    continue
+                one = single(point)
+                got = {"re": one.a.re, "im": one.a.im, "d": one.d, "c": one.c, "t": one.t, "rates": one.rates.per_user}
+                for field, (x, tail) in fields.items():
+                    want = np.broadcast_to(x, lead + x.shape[x.ndim - tail :])[t, s]
+                    assert np.array_equal(got[field], want), (name, field, t, s)
+    assert raised == {"zf", "dif", "dif_real", "build_precoder", "search", "rsearch"}

@@ -1,5 +1,6 @@
 """Harness: channel statistics, determinism, CSV contracts, CLI round trip."""
 
+import concurrent.futures
 import dataclasses
 import math
 import time
@@ -483,7 +484,7 @@ def test_config_file_sets_jobs_and_flag_wins(tmp_path, monkeypatch):
     assert seen == [2, 1]
 
 
-def test_cli_gap_curve_and_errors(tmp_path, capsys):
+def test_cli_gap_curve_and_errors(tmp_path, monkeypatch, capsys):
     out = tmp_path / "gc"
     rc = main(["--gap-curve", "64", "--out", str(out)])
     assert rc == 0
@@ -505,6 +506,18 @@ def test_cli_gap_curve_and_errors(tmp_path, capsys):
     assert main(["--gap-curve", "1000000000000", "--out", str(tmp_path / "bad_curve")]) == 2
     assert "error: gap curve needs" in capsys.readouterr().err
     assert not (tmp_path / "bad_curve").exists()
+    # so are an oversized run's trials and restarts; should the check not fire, no run starts
+    def refuse(cfg, jobs):
+        raise AssertionError("an oversized run started")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    too_many = {"trials": "1000000000000", "restarts": str(harness.MAX_RESTARTS + 1)}
+    for name, value in too_many.items():
+        assert main(["--k", "4", f"--{name}", value, "--out", str(tmp_path / f"big_{name}")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not (tmp_path / f"big_{name}").exists()
+    ExperimentConfig(trials=harness.MAX_POINTS, restarts=harness.MAX_RESTARTS)  # the bounds are inclusive
 
 
 def test_cli_single_user(tmp_path, capsys):
@@ -553,7 +566,7 @@ def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = ExperimentConfig(snr_db=(0.0, 10.0), trials=5, schemes=("dif", "zf", "dpc"), seed=2)
     alone, aggregate = run_experiment(cfg)

@@ -408,6 +408,17 @@ def test_rate_report_invariants():
         RateReport(np.array([-0.1, 1.0]))
     with pytest.raises(ValueError):
         RateReport(np.array([np.inf, 1.0]))
+    # a (3, 2, K) stack: an all-NaN row is a point with no precoder and sums to NaN
+    per_user = np.arange(18.0).reshape(3, 2, 3)
+    per_user[1, 0] = np.nan
+    stack = RateReport(per_user)
+    assert np.array_equal(stack.sum_rate, per_user.sum(axis=-1), equal_nan=True)
+    assert stack.sum_rate.shape == (3, 2) and np.isnan(stack.sum_rate).sum() == 1
+    for bad in (np.nan, -0.1, np.inf):  # a partly-NaN row, a negative entry, an infinite one
+        refused = per_user.copy()
+        refused[2, 1, 0] = bad
+        with pytest.raises(ValueError):
+            RateReport(refused)
 
 
 def test_channel_validation():
