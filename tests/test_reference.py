@@ -1,8 +1,9 @@
-"""Reference outputs: three CLI runs rerun and compared, value by value, with
+"""Reference outputs: four CLI runs rerun and compared, value by value, with
 the files under tests/reference/.
 
 The two-user run keeps the records of its first TRIALS_KEPT trials and its
-whole aggregate.csv; the four- and three-user searches keep everything.
+whole aggregate.csv; the three-, four- and six-user searches keep
+everything (at K = 6 the lattice reduction's index loop runs deepest).
 Every scientific value (rho, sum rate, gap and the aggregate means and
 standard errors) must lie within TOL_BITS of its reference, and a NaN must
 stay NaN; wall_ms is measured time and is not compared.
@@ -34,6 +35,7 @@ RUNS = {
     "k2": ["--k", "2", "--m", "2", "--snr-db=-10:2.5:40", "--trials", "1000", "--seed", "1", "--real-integers"],
     "k4": ["--k", "4", "--m", "4", "--snr-db", "30", "--trials", "4", "--seed", "1"],
     "k3": ["--k", "3", "--m", "3", "--snr-db=-10,0,10,20", "--trials", "4", "--seed", "2", "--restarts", "3"],
+    "k6": ["--k", "6", "--m", "6", "--snr-db=10,30", "--trials", "2", "--seed", "3", "--restarts", "2"],
 }
 
 
