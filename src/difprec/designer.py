@@ -334,8 +334,8 @@ def dif_generalk_stack(
     design_of = np.array(design_of, dtype=np.intp)
     best_rate = np.full(n, -math.inf)
     best_d = np.full((n, k), np.nan, dtype=np.complex128)  # stays NaN where no start runs
-    eye = [np.eye(k, dtype=np.int64), np.zeros((k, k), np.int64)]
-    best_a, last_a = np.tile(eye, (n, 1, 1, 1)), np.tile(eye, (len(design_of), 1, 1, 1))
+    eye = np.eye(k, dtype=np.complex128)  # A, Gaussian integers in complex floats
+    best_a, last_a = np.tile(eye, (n, 1, 1)), np.tile(eye, (len(design_of), 1, 1))
 
     def scorer(rows: np.ndarray):  # the objective on a sorted set of rows, gathered once
         p = design_of[rows]
@@ -345,13 +345,12 @@ def dif_generalk_stack(
             beta = np.concatenate([x[:, : k - 1], -x[:, : k - 1].sum(axis=1, keepdims=True)], axis=1)
             theta = np.concatenate([np.zeros((len(x), 1)), x[:, k - 1 :]], axis=1)
             d = np.exp(beta + 1j * theta)
-            w = last_a[rows]  # warm start: A = A_last U, in integers
-            u_re, u_im, norms = sorted_reduction((b_p * d[:, None, :]) @ (w[:, 0] + 1j * w[:, 1]))
-            last_a[rows] = a = np.stack((w[:, 0] @ u_re - w[:, 1] @ u_im, w[:, 0] @ u_im + w[:, 1] @ u_re), axis=1)
-            a_c = a[:, 0] + 1j * a[:, 1]
+            w = last_a[rows]  # warm start: A = A_last U
+            u, norms = sorted_reduction((b_p * d[:, None, :]) @ w)
+            last_a[rows] = a = w @ u
             # H T0 / ||T0||_F with T0 = B D0 A, from the reduced column norms
-            h_eff = (hb_p * d[:, None, :]) @ a_c / np.sqrt(norms.sum(axis=1))[:, None, None]
-            rates = comp_rates(h_eff, a_c, snr_p).sum(axis=1)
+            h_eff = (hb_p * d[:, None, :]) @ a / np.sqrt(norms.sum(axis=1))[:, None, None]
+            rates = comp_rates(h_eff, a, snr_p).sum(axis=1)
             # per design the first probe strictly better wins, within it the lowest row (stable lexsort)
             lead = np.lexsort((-rates, p))[heads]
             r = lead[rates[lead] > best_rate[p[heads]]]
@@ -374,15 +373,12 @@ def dif_generalk_stack(
             f[live] = np.maximum(fi, f[live])
         live = live[f[live] - f_sweep_start >= SWEEP_GAIN_BITS]
 
-    best_a, d = best_a.reshape(shape + (2, k, k)), best_d.reshape(shape + (k,))
-    a = IntegerCoeffMatrix(best_a[..., 0, :, :], best_a[..., 1, :, :])
+    a, d = best_a.reshape(shape + (k, k)), best_d.reshape(shape + (k,))
     if k == 2:  # the closed-form design wherever it rates higher or the search has none
-        searched = precode(h, d, a, regularized).rates.sum_rate
+        searched = precode(h, d, IntegerCoeffMatrix(a.real, a.imag), regularized).rates.sum_rate
         won = np.isnan(searched) | (analytic.rates.sum_rate > searched)
-        d = np.where(won[..., None], analytic.d, d)
-        won = won[..., None, None]
-        a = IntegerCoeffMatrix(np.where(won, analytic.a.re, a.re), np.where(won, analytic.a.im, a.im))
-    return precode(h, d, a, regularized)
+        d, a = np.where(won[..., None], analytic.d, d), np.where(won[..., None, None], analytic.a.to_complex(), a)
+    return precode(h, d, IntegerCoeffMatrix(a.real, a.imag), regularized)
 
 
 def design_dif_generalk(

@@ -143,16 +143,20 @@ class IntegerCoeffMatrix:
 
     Rows are the per-user coefficient vectors; columns are what lattice
     reduction produces.  Conversion to complex floats is explicit so the
-    exact and floating worlds never mix silently.  On a stack, row(i) gives
-    every member's row i; det_exact and the rank tests raise ValueError.
+    exact and floating worlds never mix silently (a float part must hold
+    integers below 2^53, else ValueError).  On a stack, row(i) gives every
+    member's row i; det_exact and the rank tests raise ValueError.
     """
 
     re: np.ndarray
     im: np.ndarray
 
     def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.int64)
-        im = np.asarray(self.im, dtype=np.int64)
+        re, im = np.asarray(self.re), np.asarray(self.im)
+        exact = lambda x: x.dtype.kind != "f" or ((abs(x) < 2.0**53) & (np.trunc(x) == x)).all()  # noqa: E731
+        if not (exact(re) and exact(im)):
+            raise ValueError("coefficient entries must be integers below 2^53 in magnitude")
+        re, im = re.astype(np.int64, copy=False), im.astype(np.int64, copy=False)
         if re.ndim < 2 or re.shape[-2] != re.shape[-1] or re.shape != im.shape:
             raise ValueError("coefficient matrix must be square, with matching parts")
         object.__setattr__(self, "re", re)

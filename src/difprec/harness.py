@@ -25,7 +25,9 @@ from .rates import ChannelMatrix, dpc_capacities
 
 ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
 
-# trials per stacked pass of a scheme: bounds a worker's working memory
+# trials per stacked pass of a scheme; a K > 2 search holds every start of its
+# block at once, about 4-5 KB each at K = 4 (2 vCPUs), so its memory grows as
+# BLOCK_TRIALS x SNR points x (restarts + 1), which this alone does not bound
 BLOCK_TRIALS = 256
 # values an SNR range, a gap curve or a trial count may have; a K = 2 trial at
 # 21 SNRs and all 7 schemes takes about 6 KB and 0.2 ms (2 vCPUs), so 6 GB here

@@ -83,6 +83,7 @@ class MessageMatrix:
         )
 
     def row(self, i: int) -> "MessageMatrix":
+        _check_row(i, self.shape[0])
         return MessageMatrix(self.field, self.re[i : i + 1], self.im[i : i + 1])
 
     def __eq__(self, other) -> bool:
@@ -106,6 +107,11 @@ def _matmul_modp(ar, ai, br, bi, p):
     if 2 * ar.shape[-1] * (p - 1) ** 2 >= 2**63:
         ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
     return (ar @ br - ai @ bi) % p, (ar @ bi + ai @ br) % p
+
+
+def _check_row(i: int, k: int) -> None:
+    if not 0 <= i < k:
+        raise IndexError(f"row {i} is outside 0..{k - 1}")
 
 
 def _check_single(a: IntegerCoeffMatrix) -> None:
@@ -164,9 +170,11 @@ def recover_message(i: int, w_prime: MessageMatrix, a: IntegerCoeffMatrix) -> Me
 
     Precondition: W' came from precode_messages with the same (A, p), which
     proved A invertible mod p; then this is row i of the original message
-    matrix.  A is not checked again here.  A stack of A raises ValueError.
+    matrix.  A is not checked again here.  A stack of A raises ValueError,
+    and i outside 0..K-1 IndexError.
     """
     _check_single(a)
+    _check_row(i, a.k)
     p = w_prime.field.p
     ar = a.re[i : i + 1] % p
     ai = a.im[i : i + 1] % p

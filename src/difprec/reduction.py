@@ -8,8 +8,10 @@ QR gives the Gram-Schmidt data, ||q_j||^2 = |r_jj|^2 and mu_{i,j} = r_ji / r_jj,
 and the loop's tests on it, row by row.  A member passing them all keeps U = I
 (its image norms are its column norms).  The index loop runs only on the rest,
 member by member on Python scalars (K <= 8), from the first failing row.  It
-updates mu, the norms and the exact integer transform U, never the basis: the
-reduced columns are g @ U.  sorted_reduction sorts them by image norm.
+updates mu, the norms and the integer transform U, never the basis: the
+reduced columns are g @ U.  sorted_reduction sorts them by image norm.  U and
+A are Gaussian integers in complex floats, exact while every entry, sum and
+product stays below 2^53; IntegerCoeffMatrix refuses them past that.
 """
 
 from __future__ import annotations
@@ -44,23 +46,20 @@ def rank_deficient(g: np.ndarray) -> np.ndarray:
 def _lll_one(mu, qnorm, k: int, kk: int):
     """Complex LLL of one lattice on its Gram-Schmidt data (nested lists,
     updated in place), from row kk, before which it would change nothing.
-    Returns U column by column, each column's real then imaginary parts."""
-    u = [[0] * j + [1] + [0] * (2 * k - 1 - j) for j in range(k)]
+    Returns U column by column, as Gaussian integers in complex floats."""
+    u = [[0j] * j + [1 + 0j] + [0j] * (k - 1 - j) for j in range(k)]
     for _ in range(_MAX_STEPS + 1):
         if kk == k:
-            return sum(u, [])
+            return u
         mrow = mu[kk]
         for j in range(kk - 1, -1, -1):
             mj = mrow[j]
             if -0.5 <= mj.real <= 0.5 and -0.5 <= mj.imag <= 0.5:
                 continue  # rounds to 0
-            cr, ci = round(mj.real), round(mj.imag)
+            c = complex(round(mj.real), round(mj.imag))
             uk, uj = u[kk], u[j]
             for t in range(k):
-                br, bi = uj[t], uj[k + t]
-                uk[t] -= cr * br - ci * bi
-                uk[k + t] -= cr * bi + ci * br
-            c = complex(cr, ci)
+                uk[t] -= c * uj[t]
             muj = mu[j]
             for l in range(j):
                 mrow[l] -= c * muj[l]
@@ -91,8 +90,8 @@ def _lll_one(mu, qnorm, k: int, kk: int):
 
 def _reduce(g: np.ndarray):
     """One reduction pass over an (N, M, K) generator stack: its squared column
-    norms (N, K), the members that fail the loop's tests and their U, column
-    by column (n, K, 2K).  Raises ValueError if a member is rank deficient."""
+    norms (N, K), the members that fail the loop's tests and U (N, K, K), I on
+    the rest.  Raises ValueError if a member is rank deficient."""
     k = g.shape[-1]
     rt, qnorm, cols, deficient = _gram_schmidt(g)
     if deficient.any():
@@ -104,46 +103,37 @@ def _reduce(g: np.ndarray):
     sub = np.diagonal(mu, -1, axis1=-2, axis2=-1)
     ok[:, 1:] &= qnorm[:, 1:] >= (LLL_DELTA - np.hypot(sub.real, sub.imag) ** 2) * qnorm[:, :-1] * (1 + 1e-12)
     todo = np.flatnonzero(~ok.all(axis=-1))
-    u = []
-    for m, q, kk in zip(mu[todo].tolist(), qnorm[todo].tolist(), ok[todo].argmin(axis=-1).tolist()):
-        u += _lll_one(m, q, k, kk)
-    return cols, todo, np.array(u, dtype=np.int64).reshape(-1, k, 2 * k)
+    rows = zip(mu[todo].tolist(), qnorm[todo].tolist(), ok[todo].argmin(axis=-1).tolist())
+    u = np.tile(np.eye(k, dtype=np.complex128), (len(g), 1, 1))
+    u[todo] = np.swapaxes(np.array([_lll_one(m, q, k, kk) for m, q, kk in rows]).reshape(-1, k, k), 1, 2)
+    return cols, todo, u
 
 
 def _lll(g: np.ndarray) -> np.ndarray:
-    """Unimodular U (N, 2, K, K), re and im, LLL-reducing each member of an (N, M, K) stack."""
-    n, k = len(g), g.shape[-1]
-    _, todo, u_todo = _reduce(g)
-    u = np.tile(np.eye(k, 2 * k, dtype=np.int64), (n, 1, 1))  # U = I, column by column
-    u[todo] = u_todo
-    return u.reshape(n, k, 2, k).transpose(0, 2, 3, 1)
+    """Unimodular U (N, K, K), Gaussian integers in complex floats, LLL-reducing
+    each member of an (N, M, K) stack."""
+    return _reduce(g)[2]
 
 
-def sorted_reduction(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sorted_reduction(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LLL-reduce every member of an (N, M, K) generator stack, sort its
     columns by image norm and fall back to the identity where the reduction
     did not shorten the basis, so A never loses to I in sum of squared image
-    norms.  Returns A (re and im, each (N, K, K) int64) and the squared norms
-    of the columns of g @ A (N, K), ascending except where the identity was
-    kept.  Norm ties are broken lexicographically on the integer entries of A,
-    real parts first.  Raises ValueError if any member is rank deficient.
+    norms.  Returns A (N, K, K), Gaussian integers in complex floats, and the
+    squared norms of the columns of g @ A (N, K), ascending except where the
+    identity was kept.  Norm ties are broken lexicographically on the entries
+    of each column of A, real parts first.  Raises ValueError if any member is
+    rank deficient.
     """
     g = np.asarray(g, dtype=np.complex128)
-    k = g.shape[-1]
-    norms, todo, u = _reduce(g)
-    u_todo = np.ascontiguousarray(np.swapaxes(u[..., :k] + 1j * u[..., k:], -2, -1))
-    image = linalg.norm_sq(np.swapaxes(g[todo] @ u_todo, -2, -1))
+    norms, todo, a = _reduce(g)
+    image = linalg.norm_sq(np.swapaxes(g[todo] @ a[todo], -2, -1))
     keep = image.sum(axis=-1) <= norms[todo].sum(axis=-1)
-    norms[todo[keep]] = image[keep]
-    # per column of A, its entries and its norm's bits: one gather sorts them all
-    w = np.zeros((len(g), k, 2 * k + 1), np.int64)
-    w[..., : 2 * k], w[todo[keep], :, : 2 * k], w[..., 2 * k] = np.eye(k, 2 * k), u[keep], norms.view(np.int64)
-    a = w[np.arange(len(g))[:, None], np.argsort(norms, axis=-1, kind="stable")]
-    s = a[..., 2 * k].view(np.float64)
-    for n in np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=-1)):
-        a[n] = w[n, np.lexsort((*w[n, :, 2 * k - 1 :: -1].T, norms[n]))]
-    a[todo[~keep]] = w[todo[~keep]]  # the identity, unsorted
-    return np.swapaxes(a[..., :k], -2, -1), np.swapaxes(a[..., k : 2 * k], -2, -1), s
+    norms[todo[keep]], a[todo[~keep]] = image[keep], np.eye(g.shape[-1])
+    # lexsort's last key leads: the norm, then real parts, then imaginary parts, entry by entry
+    order = np.lexsort((*np.swapaxes(a.imag[:, ::-1], 0, 1), *np.swapaxes(a.real[:, ::-1], 0, 1), norms))
+    order[todo[~keep]] = np.arange(g.shape[-1])  # the identity, unsorted
+    return np.take_along_axis(a, order[:, None, :], axis=-1), np.take_along_axis(norms, order, axis=-1)
 
 
 def _single(g: np.ndarray) -> np.ndarray:
@@ -157,13 +147,12 @@ def clll_reduce(g: np.ndarray):
     """LLL-reduce the lattice generated by the columns of g over Z[j]: returns
     (reduced_basis, u), u unimodular and reduced_basis = g @ u.to_complex()."""
     g = _single(g)
-    u = IntegerCoeffMatrix(*_lll(g)[0])
-    return g[0] @ u.to_complex(), u
+    u = _lll(g)[0]
+    return g[0] @ u, IntegerCoeffMatrix(u.real, u.imag)
 
 
 def shortest_independent_columns(g: np.ndarray) -> IntegerCoeffMatrix:
     """Full-rank Gaussian-integer A whose columns give short independent
     images: sorted_reduction of the single generator g."""
-    a_re, a_im, _ = sorted_reduction(_single(g))
-    return IntegerCoeffMatrix(a_re[0], a_im[0])
-
+    a = sorted_reduction(_single(g))[0][0]
+    return IntegerCoeffMatrix(a.real, a.imag)

@@ -162,6 +162,24 @@ def test_coeff_matrix_holds_a_stack():
             IntegerCoeffMatrix(bad_re, bad_im)
 
 
+def test_coeff_matrix_refuses_float_parts_it_cannot_hold_exactly():
+    """A float part must hold integers below 2^53 in magnitude, the range in
+    which complex floats keep Gaussian integers exactly: a fraction, a value
+    past it or a NaN raises ValueError instead of being truncated or wrapped."""
+    zero = np.zeros((2, 2))
+    for bad in ([[1.5, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.7]], [[1e19, 0.0], [0.0, 1.0]],
+                [[2.0**53, 0.0], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]], [[-math.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            IntegerCoeffMatrix(bad, zero)
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            IntegerCoeffMatrix(zero, bad)
+    edge = 2.0**53 - 1.0
+    a = IntegerCoeffMatrix(np.array([[edge, -0.0], [3.0, -edge]]), zero)
+    assert a.re.dtype == np.int64 and a.re.tolist() == [[2**53 - 1, 0], [3, 1 - 2**53]]
+    big = IntegerCoeffMatrix([[2**62, 0], [0, 1]], [[0, 0], [0, 0]])  # integer parts keep int64's range
+    assert big.re[0, 0] == 2**62
+
+
 def test_coeff_matrix_single_matrix_methods_refuse_a_stack():
     """det_exact and the rank tests need a single matrix; a stack of one
     member is refused too, so no axis of a stack is read as a matrix's."""

@@ -178,6 +178,20 @@ def test_recover_identity_case():
         assert recover_message(i, w, IntegerCoeffMatrix.identity(3)) == w.row(i)
 
 
+def test_a_row_outside_the_matrix_raises_index_error():
+    """Rows are 0..K-1: a row past either end, -1 included, raises IndexError
+    instead of giving an empty 0 x n matrix."""
+    field = ModPField(7)
+    w = MessageMatrix.random(field, 2, 3, np.random.default_rng(4))
+    a = IntegerCoeffMatrix.identity(2)
+    for i in (2, 5, -1, -3):
+        with pytest.raises(IndexError):
+            w.row(i)
+        with pytest.raises(IndexError):
+            recover_message(i, w, a)
+    assert w.row(1).shape == recover_message(1, w, a).shape == (1, 3)
+
+
 def test_round_trip_random():
     rng = np.random.default_rng(3)
     for p in (7, 11, 19):

@@ -132,27 +132,25 @@ def reduced_generators(k, m, n, key):
     """g U with U the LLL transform of each g of a column-scaled stack: bases
     that are LLL-reduced already."""
     gens = column_scaled_generators(k, m, n, key)
-    u = _lll(gens)
-    return gens @ (u[:, 0] + 1j * u[:, 1])
+    return gens @ _lll(gens)
 
 
 def is_identity(u):
-    """Which members of a (N, 2, K, K) transform stack are U = I."""
-    real_eye = (u[:, 0] == np.eye(u.shape[-1], dtype=np.int64)).all(axis=(-2, -1))
-    return real_eye & (u[:, 1] == 0).all(axis=(-2, -1))
+    """Which members of a (N, K, K) transform stack are U = I."""
+    return (u == np.eye(u.shape[-1])).all(axis=(-2, -1))
 
 
 def reference_mismatches(gens):
     """Members on which the stacked reducer and the reference differ, and the
     number of identity fallbacks the reference took."""
-    a_re, a_im, norms = sorted_reduction(gens)
-    image = gens @ (a_re + 1j * a_im)
+    a, norms = sorted_reduction(gens)
+    image = gens @ a
     assert np.allclose(norms, np.sum(np.abs(image) ** 2, axis=-2), rtol=1e-12)
     bad, fallbacks = [], 0
     for n, g in enumerate(gens):
         ref_re, ref_im, fallback = sorted_reduction_reference(g)
         fallbacks += fallback
-        if not (np.array_equal(a_re[n], ref_re) and np.array_equal(a_im[n], ref_im)):
+        if not (np.array_equal(a[n].real, ref_re) and np.array_equal(a[n].imag, ref_im)):
             bad.append(n)
     return bad, fallbacks
 
@@ -210,7 +208,7 @@ def test_lll_matches_index_loop_on_every_member(k):
         u = _lll(gens)
         for n, g in enumerate(gens):
             ref_re, ref_im = lll_reference(g)
-            assert np.array_equal(u[n, 0], ref_re) and np.array_equal(u[n, 1], ref_im)
+            assert np.array_equal(u[n].real, ref_re) and np.array_equal(u[n].imag, ref_im)
         assert reference_mismatches(gens)[0] == []
     assert is_identity(_lll(reduced)).all() and not is_identity(_lll(rand)).all()
 
@@ -258,7 +256,7 @@ def test_index_loop_starts_at_the_first_failing_row(k, monkeypatch):
     u = _lll(gens)
     for n, g in enumerate(gens):
         ref_re, ref_im = lll_reference(g)
-        assert np.array_equal(u[n, 0], ref_re) and np.array_equal(u[n, 1], ref_im)
+        assert np.array_equal(u[n].real, ref_re) and np.array_equal(u[n].imag, ref_im)
     partly_rows = np.flatnonzero(order < 60)
     entered = [n for n in partly_rows if n in starts]
     assert {starts[n] for n in entered} == {k - 1}
@@ -277,8 +275,8 @@ def test_mixed_stack_matches_reference_and_each_member_alone():
     bad, fallbacks = reference_mismatches(gens)
     certified = is_identity(_lll(gens))  # a fallback member's LLL U is not I
     assert bad == [] and fallbacks >= 1 and certified.sum() >= 1 and (~certified).sum() - fallbacks >= 1
-    a_re, a_im, norms = sorted_reduction(gens)
+    a, norms = sorted_reduction(gens)
     for n in range(len(gens)):
-        one_re, one_im, one_norms = sorted_reduction(gens[n : n + 1])
-        assert np.array_equal(one_re[0], a_re[n]) and np.array_equal(one_im[0], a_im[n])
+        one, one_norms = sorted_reduction(gens[n : n + 1])
+        assert np.array_equal(one[0], a[n])
         assert np.array_equal(one_norms[0], norms[n])
