@@ -137,26 +137,37 @@ def det_exact(re: np.ndarray, im: np.ndarray):
     return minors[(1 << k) - 1]
 
 
+def exact_int64(x, what: str) -> np.ndarray:
+    """x as int64, or ValueError unless every entry is an integer int64 holds,
+    below 2^53 in magnitude if a float (past that, floats are not exact)."""
+    x = np.asarray(x)
+    kind = x.dtype.kind
+    try:  # a signed int is exact; a complex part is refused; another kind must survive the cast
+        float_ok = kind == "f" and ((abs(x) < 2.0**53) & (np.trunc(x) == x)).all()
+        exact = kind == "i" or float_ok or kind not in "fc" and (x.astype(np.int64) == x).all()
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{what} must be integers below 2^63 in magnitude, and below 2^53 as floats")
+    return x.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class IntegerCoeffMatrix:
     """Square Gaussian-integer coefficient matrix, or a (..., K, K) stack of them, as exact int parts.
 
     Rows are the per-user coefficient vectors; columns are what lattice
     reduction produces.  Conversion to complex floats is explicit so the
-    exact and floating worlds never mix silently (a float part must hold
-    integers below 2^53, else ValueError).  On a stack, row(i) gives every
-    member's row i; det_exact and the rank tests raise ValueError.
+    exact and floating worlds never mix silently (a part must hold int64
+    integers, below 2^53 if floats, else ValueError).  On a stack, row(i)
+    gives every member's row i; det_exact and the rank tests raise ValueError.
     """
 
     re: np.ndarray
     im: np.ndarray
 
     def __post_init__(self):
-        re, im = np.asarray(self.re), np.asarray(self.im)
-        exact = lambda x: x.dtype.kind != "f" or ((abs(x) < 2.0**53) & (np.trunc(x) == x)).all()  # noqa: E731
-        if not (exact(re) and exact(im)):
-            raise ValueError("coefficient entries must be integers below 2^53 in magnitude")
-        re, im = re.astype(np.int64, copy=False), im.astype(np.int64, copy=False)
+        re, im = exact_int64(self.re, "coefficient entries"), exact_int64(self.im, "coefficient entries")
         if re.ndim < 2 or re.shape[-2] != re.shape[-1] or re.shape != im.shape:
             raise ValueError("coefficient matrix must be square, with matching parts")
         object.__setattr__(self, "re", re)

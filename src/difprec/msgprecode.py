@@ -5,18 +5,20 @@ field of order p^2.  The transmitter pre-inverts the integer coefficient
 matrix A there (W' = inv(A) W mod p) so that the integer combination each
 receiver decodes, a_i W' mod p, is exactly its own message row.  The
 inverse comes from Gauss-Jordan elimination of [A | I] over Z_p[j] in Python
-integers.  All arithmetic is exact: message parts are int64 arrays reduced
-mod p, for every p that ModPField accepts (p^2 < 2^63), and products whose
-sums could overflow int64 are taken in Python integers.
+integers.  All arithmetic is exact for every p that ModPField accepts
+(p^2 < 2^63): message parts are reduced mod p in the narrowest signed type
+that holds -2p, where a sum of two cannot wrap, and they multiply in int64,
+or in Python integers where their sums could overflow it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussint import IntegerCoeffMatrix
+from .gaussint import IntegerCoeffMatrix, exact_int64
 
 
 class NotInvertibleModPError(ValueError):
@@ -24,16 +26,7 @@ class NotInvertibleModPError(ValueError):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p == 2 or p > 2 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -56,19 +49,23 @@ class ModPField:
 
 @dataclass(frozen=True)
 class MessageMatrix:
-    """Matrix over Z_p[j]; component arrays are kept reduced mod p."""
+    """Matrix over Z_p[j], its parts reduced mod p in read-only arrays of
+    np.min_scalar_type(-2 * p) (int8 to p = 64, int16 to 16,384, int32 to 2^30,
+    else int64): a sum or difference of two parts fits, a product needs an
+    upcast.  An entry that is not an integer int64 holds raises ValueError."""
 
     field: ModPField
     re: np.ndarray
     im: np.ndarray
 
     def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.int64) % self.field.p
-        im = np.asarray(self.im, dtype=np.int64) % self.field.p
+        p, dtype = self.field.p, np.min_scalar_type(-2 * self.field.p)
+        re, im = ((exact_int64(x, "message parts") % p).astype(dtype, copy=False) for x in (self.re, self.im))
         if re.shape != im.shape or re.ndim != 2:
             raise ValueError("message matrix components must be matching 2-D arrays")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        for name, part in (("re", re), ("im", im)):
+            part.setflags(write=False)
+            object.__setattr__(self, name, part)
 
     @property
     def shape(self):
@@ -76,11 +73,7 @@ class MessageMatrix:
 
     @classmethod
     def random(cls, field: ModPField, rows: int, cols: int, rng) -> "MessageMatrix":
-        return cls(
-            field,
-            rng.integers(0, field.p, size=(rows, cols)),
-            rng.integers(0, field.p, size=(rows, cols)),
-        )
+        return cls(field, *(rng.integers(0, field.p, size=(rows, cols)) for _ in range(2)))
 
     def row(self, i: int) -> "MessageMatrix":
         _check_row(i, self.shape[0])
@@ -89,11 +82,8 @@ class MessageMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MessageMatrix):
             return NotImplemented
-        return (
-            self.field.p == other.field.p
-            and np.array_equal(self.re, other.re)
-            and np.array_equal(self.im, other.im)
-        )
+        same = self.field.p == other.field.p
+        return same and np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im)
 
     def __add__(self, other: "MessageMatrix") -> "MessageMatrix":
         if self.field.p != other.field.p:
@@ -102,11 +92,12 @@ class MessageMatrix:
 
 
 def _matmul_modp(ar, ai, br, bi, p):
-    # Reduced parts: each product is below p^2, and a sum of 2K of them must
-    # fit in int64; past that the products are taken in Python integers.
-    if 2 * ar.shape[-1] * (p - 1) ** 2 >= 2**63:
-        ar, ai, br, bi = (x.astype(object) for x in (ar, ai, br, bi))
-    return (ar @ br - ai @ bi) % p, (ar @ bi + ai @ br) % p
+    # A's reduced int64 parts times the message parts, widened: a sum of 2K products
+    # below p^2 must fit int64 (MessageMatrix reduces it), else Python integers, reduced here.
+    wide = object if 2 * ar.shape[-1] * (p - 1) ** 2 >= 2**63 else np.int64
+    br, bi = br.astype(wide), bi.astype(wide)
+    re, im = ar @ br - ai @ bi, ar @ bi + ai @ br
+    return (re % p, im % p) if wide is object else (re, im)
 
 
 def _check_row(i: int, k: int) -> None:
@@ -176,7 +167,5 @@ def recover_message(i: int, w_prime: MessageMatrix, a: IntegerCoeffMatrix) -> Me
     _check_single(a)
     _check_row(i, a.k)
     p = w_prime.field.p
-    ar = a.re[i : i + 1] % p
-    ai = a.im[i : i + 1] % p
-    rr, ri = _matmul_modp(ar, ai, w_prime.re, w_prime.im, p)
-    return MessageMatrix(w_prime.field, rr, ri)
+    row = (a.re[i : i + 1] % p, a.im[i : i + 1] % p)
+    return MessageMatrix(w_prime.field, *_matmul_modp(*row, w_prime.re, w_prime.im, p))

@@ -1,6 +1,8 @@
 """Finite-field message layer: invertibility, pre-inversion, exact round trips."""
 
+import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,79 @@ def test_field_rejects_p_whose_square_overflows_int64_at_once():
     assert ModPField(3_037_000_427).p == 3_037_000_427  # the largest accepted p
 
 
+# The accepted primes on either side of each storage-type boundary, and the ends.
+BOUNDARY_PRIMES = {
+    3: np.int8, 59: np.int8, 67: np.int16, 251: np.int16, 16_363: np.int16, 16_411: np.int32,
+    1_073_741_783: np.int32, 1_073_741_827: np.int64, 2**31 - 1: np.int64, 3_037_000_427: np.int64,
+}
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
+def test_parts_are_stored_in_the_narrowest_type_that_holds_a_sum_of_two(p):
+    """Every MessageMatrix the layer returns keeps its parts reduced mod p in
+    np.min_scalar_type(-2 p), where a sum of two parts cannot wrap, and the
+    products taken through the layer stay exact."""
+    field = ModPField(p)
+    dtype = np.min_scalar_type(-2 * p)
+    assert dtype == BOUNDARY_PRIMES[p]
+    rng = np.random.default_rng(p % 1000)
+    a = random_invertible(field, 3, rng)
+    w = MessageMatrix.random(field, 3, 5, rng)
+    wp = precode_messages(w, a)
+    top = MessageMatrix(field, np.full((3, 5), p - 1), np.full((3, 5), p - 1))
+    given = MessageMatrix(field, [[p - 1, -1, 2 * p + 1]], [[-p, p, -2 * p + 3]])
+    made = [given, w, top, w.row(2), w + w, top + top, modp_inverse(a, field), wp, recover_message(1, wp, a)]
+    for m in made:
+        for part in (m.re, m.im):
+            assert part.dtype == dtype
+            assert ((part >= 0) & (part < p)).all()
+    assert given.re.tolist() == [[p - 1, p - 1, 1]] and given.im.tolist() == [[0, 0, 3 % p]]
+    assert np.array_equal((top + top).re, np.full((3, 5), 2 * (p - 1) % p))
+    assert np.array_equal((top + top).im, np.full((3, 5), 2 * (p - 1) % p))
+    for i in range(3):
+        assert recover_message(i, wp, a) == w.row(i)
+
+
+def test_message_parts_that_are_not_integers_are_refused():
+    """A fraction, a NaN, an infinity, an integer int64 cannot hold or a
+    complex part raises ValueError, with no warning, instead of being
+    truncated, wrapped or overflowing; integers in any dtype are reduced mod p.
+    IntegerCoeffMatrix applies the same check."""
+    field = ModPField(7)
+    zero = np.zeros((1, 2), np.int64)
+    bad_parts = ([[1.5, 2.9]], [[math.nan, 0.0]], [[0.0, -math.inf]], [[2**70, 0]], [[-(2**63) - 1, 0]],
+                 np.array([[2**63, 0]], np.uint64), np.array([[1, 0.5]], object), np.array([[1 + 0j, 0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in bad_parts:
+            with pytest.raises(ValueError, match="integers"):
+                MessageMatrix(field, bad, zero)
+            with pytest.raises(ValueError, match="integers"):
+                MessageMatrix(field, zero, bad)
+        with pytest.raises(ValueError, match="integers"):
+            IntegerCoeffMatrix([[2**70, 0], [0, 1]], np.zeros((2, 2), np.int64))
+        w = MessageMatrix(field, [[3.0, -1.0]], np.array([[2**63 - 1, -(2**63)]]))
+        assert w.re.tolist() == [[3, 6]] and w.im.tolist() == [[(2**63 - 1) % 7, -(2**63) % 7]]
+        small = MessageMatrix(field, np.array([[9, 250]], np.uint8), np.array([[True, False]]))
+        assert small.re.tolist() == [[2, 5]] and small.im.tolist() == [[1, 0]]
+
+
+def test_parts_are_read_only():
+    """An in-place write would break the reduced-mod-p invariant, so the
+    parts refuse it; the caller's own arrays stay writable."""
+    field = ModPField(11)
+    src = np.arange(6).reshape(2, 3)
+    w = MessageMatrix(field, src, src)
+    a = IntegerCoeffMatrix.identity(2)
+    for m in (w, w.row(0), w + w, MessageMatrix.random(field, 2, 3, np.random.default_rng(8)),
+              modp_inverse(a, field), precode_messages(w, a), recover_message(1, w, a)):
+        for part in (m.re, m.im):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 999
+    src[0, 0] = 5
+    assert w.re[0, 0] == 0
+
+
 def test_round_trip_exact_for_large_p():
     """p = 2^31 - 1 at K = 3: a sum of K products below p^2 would overflow
     int64 unless each product is reduced first."""
@@ -93,7 +168,7 @@ def test_modp_inverse_multiply_back():
             for _ in range(5):
                 a = random_invertible(field, k, rng)
                 atilde = modp_inverse(a, field)
-                assert atilde.re.dtype == atilde.im.dtype == np.int64
+                assert atilde.re.dtype == atilde.im.dtype == np.min_scalar_type(-2 * p)
                 ar, ai, tr, ti = (x.astype(object) for x in (a.re % p, a.im % p, atilde.re, atilde.im))
                 assert np.array_equal((ar @ tr - ai @ ti) % p, np.eye(k, dtype=np.int64))
                 assert np.array_equal((ar @ ti + ai @ tr) % p, np.zeros((k, k), dtype=np.int64))
