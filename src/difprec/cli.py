@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .designer import MAX_RESTARTS
 from .harness import (
     ALL_SCHEMES,
     MAX_POINTS as MAX_SNR_POINTS,  # values a range spec may give
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="channel realizations (default 1000 at k = 2, else 200)")
     parser.add_argument("--seed", type=int, help="master seed (default 1)")
     parser.add_argument("--schemes", help=f"comma subset of {','.join(ALL_SCHEMES)}")
-    parser.add_argument("--restarts", type=int, help="random restarts for the k > 2 search (default 8)")
+    parser.add_argument("--restarts", type=int, help=f"random restarts for the k > 2 search, 0 to {MAX_RESTARTS} (default 8)")
     parser.add_argument("--out", default=".", help="output directory (default .)")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument(

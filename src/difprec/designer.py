@@ -42,6 +42,9 @@ RHO_MAX = 1.0 - 1e-9
 SEARCH_TOL = 1e-3  # width at which a golden section stops
 SWEEP_GAIN_BITS = 1e-4  # a start stops after a sweep gaining less than this,
 MAX_SWEEPS = 30  # or after this many sweeps
+# random starts a design may take; each costs a K = 4 design about 11 ms and
+# 5 KB (2 vCPUs), so a design takes 11 s here and a 200-trial run over an hour
+MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -304,11 +307,13 @@ def dif_generalk_stack(
     sweeps as one stack of rows; each stops by SEARCH_TOL, SWEEP_GAIN_BITS and
     MAX_SWEEPS on its own, so a design does not depend on the other points.
     It is the best diagonal scored, with its A; for K = 2 the closed-form
-    design wins where its sum rate is higher.
+    design wins where its sum rate is higher.  restarts must lie in 0 to MAX_RESTARTS.
     """
     k = h.k
     if k < 2:
         raise ValueError("search-based design needs at least two users")
+    if not 0 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in 0 to {MAX_RESTARTS}")
     if len(seeds) != (h.h.shape[0] if h.h.ndim == 3 else 1):
         raise ValueError("need one seed per channel")
     b = h.factor(regularized).b

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import rzf_stack, zf_stack, zfdp_rates
-from .designer import _rho, asymptotic_gaps, dif_2user_stack, dif_generalk_stack
+from .designer import MAX_RESTARTS, _rho, asymptotic_gaps, dif_2user_stack, dif_generalk_stack
 from .linalg import SingularMatrixError
 from .rates import ChannelMatrix, dpc_capacities
 
@@ -29,12 +29,16 @@ ALL_SCHEMES = ("dif", "rdif", "zf", "rzf", "zfdp", "dpc", "dif_real")
 # block at once, about 4-5 KB each at K = 4 (2 vCPUs), so its memory grows as
 # BLOCK_TRIALS x SNR points x (restarts + 1), which this alone does not bound
 BLOCK_TRIALS = 256
-# values an SNR range, a gap curve or a trial count may have; a K = 2 trial at
-# 21 SNRs and all 7 schemes takes about 6 KB and 0.2 ms (2 vCPUs), so 6 GB here
+# values an SNR range, a gap curve or a trial count may have
 MAX_POINTS = 10**6
-# restarts a search may take; each costs a K = 4 design about 11 ms and 5 KB
-# (2 vCPUs), so a design takes 11 s here and a 200-trial run over an hour
-MAX_RESTARTS = 1000
+# (trial, SNR) points a run may have: a K = 2 trial at 21 SNRs and all 7
+# schemes takes about 6 KB and 0.2 ms (2 vCPUs), so 6 GB and 4 minutes here
+MAX_RECORDS = 21 * MAX_POINTS
+# users and antennas: a block of BLOCK_TRIALS trials at 21 SNRs, K = 12 and M = 16
+# takes 68 s and 0.5 GB for zf, rzf and dpc (2 vCPUs); det_exact, checking each A
+# on all 2^K column sets, costs 4-5 times more for two more users (8 s and 0.55 GB
+# alone at K = 14), and a K != 2 capacity factors an M x M matrix per point
+MAX_USERS, MAX_ANTENNAS = 12, 16
 
 TRIALS_HEADER = "scheme,snr_db,trial,rho,sum_rate_bits,gap_bits,wall_ms"
 AGGREGATE_HEADER = "scheme,snr_db,mean_sum_rate_bits,mean_gap_bits,stderr_gap_bits"
@@ -55,12 +59,12 @@ class ExperimentConfig:
             object.__setattr__(self, "m", self.k)
         if self.trials is None:
             object.__setattr__(self, "trials", 1000 if self.k == 2 else 200)
-        if not 1 <= self.k <= self.m:
-            raise ValueError("need 1 <= k <= m")
-        if not 1 <= self.trials <= MAX_POINTS:
-            raise ValueError(f"need 1 to {MAX_POINTS} trials")
+        if not 1 <= self.k <= self.m or self.k > MAX_USERS or self.m > MAX_ANTENNAS:
+            raise ValueError(f"need 1 <= k <= m, k <= {MAX_USERS} and m <= {MAX_ANTENNAS}")
         if len(self.snr_db) == 0:
             raise ValueError("snr list must be nonempty")
+        if not 1 <= self.trials <= min(MAX_POINTS, MAX_RECORDS // len(self.snr_db)):
+            raise ValueError(f"need 1 to {MAX_POINTS} trials, and at most {MAX_RECORDS} trials x SNR points")
         with np.errstate(over="ignore"):
             linear = 10.0 ** (np.asarray(self.snr_db, dtype=np.float64) / 10.0)
         if not np.all((linear > 0.0) & np.isfinite(linear)):

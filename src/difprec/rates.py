@@ -31,13 +31,12 @@ class ChannelMatrix:
 
     Two-user formulas evaluate all points (channel, SNR) as stacks with
     leading axes (T, S), or (S,), and (T, 1) for what does not vary with SNR:
-    rows is H so shaped and herm its H^H.  Most others take a single point.
+    rows is H so shaped.  Most others take a single point.
     """
 
     h: np.ndarray
     snr: float | np.ndarray
     rows: np.ndarray = field(init=False, repr=False, compare=False)
-    herm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.array(self.h, dtype=np.complex128)
@@ -57,7 +56,6 @@ class ChannelMatrix:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "snr", snr)
         object.__setattr__(self, "rows", h[:, None] if h.ndim == 3 else h)
-        object.__setattr__(self, "herm", self.rows.swapaxes(-1, -2).conj())
 
     @property
     def k(self) -> int:
@@ -83,7 +81,7 @@ class ChannelMatrix:
         cache = self.__dict__.setdefault("_factors", {})
         if regularized not in cache:
             shift = np.sqrt(self.k / np.asarray(self.snr)) if regularized else None
-            cache[regularized] = linalg.qr_factor(self.herm, shift)
+            cache[regularized] = linalg.qr_factor(self.rows.swapaxes(-1, -2).conj(), shift)
         return cache[regularized]
 
 
@@ -191,11 +189,11 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     clamped vertex of det Z along that line, a concave quadratic.  A point
     stops once its Frank-Wolfe gap (max_i s_ii - q.diag(S)) / ln 2, which
     bounds its distance to the optimum (Jaggi, ICML 2013), is at most
-    FW_GAP_BITS; its value comes from det(I + snr Q^1/2 G Q^1/2), exact for
-    one user.  Rounding in S grows like snr ||G|| eps: a point that has not
+    FW_GAP_BITS.  Rounding in S grows like snr ||G|| eps: a point that has not
     certified after FW_MAX_STEPS steps (rank-deficient channels far above
-    100 dB), or whose Z is singular by the factor rule, is NaN.  Z^-1 is
-    R^-1 R^-H of the QR factor of [(snr q)^1/2 H; I].
+    100 dB), or whose Z is singular by the factor rule, is NaN.  Z = R^H R
+    by the QR factor of [(snr q)^1/2 H; I], so Z^-1 is R^-1 R^-H and the
+    value log2 det Z is the sum of log2 |r_jj|^2 over its diagonal.
     """
     shape = np.broadcast_shapes(h.rows.shape[:-2], np.shape(h.snr))
     h_all = np.broadcast_to(h.rows, shape + (h.k, h.m)).reshape(-1, h.k, h.m)
@@ -206,14 +204,12 @@ def _dpc_pairwise(h: ChannelMatrix) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(FW_MAX_STEPS):
         snr_t = snr_all[todo][:, None, None]
         q_t, h_t = q[todo], h_all[todo]
-        h_herm = h_t.swapaxes(-1, -2).conj()
-        hr = h_t @ linalg.qr_factor(np.sqrt(snr_t * q_t[:, :, None]) * h_t, 1.0).r_inv
+        z = linalg.qr_factor(np.sqrt(snr_t * q_t[:, :, None]) * h_t, 1.0)
+        hr = h_t @ z.r_inv
         a = snr_t * (hr @ hr.swapaxes(-1, -2).conj())
         s = a.diagonal(axis1=-2, axis2=-1).real
         done = s.max(axis=-1) - (s * q_t).sum(axis=-1) <= FW_GAP_BITS * math.log(2.0)
-        q_pair = np.sqrt(q_t[done, :, None] * q_t[done, None, :])
-        w = np.eye(h.k) + snr_t[done] * q_pair * (h_t[done] @ h_herm[done])
-        capacity[todo[done]] = np.linalg.slogdet(w)[1] / math.log(2.0)
+        capacity[todo[done]] = np.log2(z.r[done].diagonal(axis1=-2, axis2=-1).real ** 2).sum(axis=-1)
         live = ~done & ~np.isnan(s[:, 0])
         todo, a, s, q_t = todo[live], a[live], s[live], q_t[live]
         if not todo.size:

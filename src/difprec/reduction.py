@@ -109,12 +109,6 @@ def _reduce(g: np.ndarray):
     return cols, todo, u
 
 
-def _lll(g: np.ndarray) -> np.ndarray:
-    """Unimodular U (N, K, K), Gaussian integers in complex floats, LLL-reducing
-    each member of an (N, M, K) stack."""
-    return _reduce(g)[2]
-
-
 def sorted_reduction(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LLL-reduce every member of an (N, M, K) generator stack, sort its
     columns by image norm and fall back to the identity where the reduction
@@ -147,7 +141,7 @@ def clll_reduce(g: np.ndarray):
     """LLL-reduce the lattice generated by the columns of g over Z[j]: returns
     (reduced_basis, u), u unimodular and reduced_basis = g @ u.to_complex()."""
     g = _single(g)
-    u = _lll(g)[0]
+    u = _reduce(g)[2][0]
     return g[0] @ u, IntegerCoeffMatrix(u.real, u.imag)
 
 

@@ -464,6 +464,22 @@ def test_generalk_validations():
         design_dif_generalk(ChannelMatrix(np.ones((1, 2), dtype=complex), 1.0))
 
 
+def test_search_refuses_restarts_outside_its_bound():
+    """The search checks its own restarts, 0 to MAX_RESTARTS, before it builds
+    a start: a negative count ran with no random starts, a huge one built a
+    start list of that length.  The harness and the CLI read the same bound."""
+    from difprec import cli, designer, harness
+
+    h = rand_channel(np.random.default_rng(12), 3, 3, 10.0)
+    for restarts in (-3, -1, designer.MAX_RESTARTS + 1, 10**9):
+        with pytest.raises(ValueError, match="restarts"):
+            design_dif_generalk(h, restarts=restarts)
+        with pytest.raises(ValueError, match="restarts"):
+            dif_generalk_stack(h, [0], restarts=restarts)
+    assert np.isfinite(design_dif_generalk(h, restarts=0).rates.sum_rate)
+    assert harness.MAX_RESTARTS is cli.MAX_RESTARTS is designer.MAX_RESTARTS
+
+
 def test_d0_global_phase_invariance():
     """Multiplying D0 by a unit-modulus scalar leaves the sum rate unchanged."""
     rng = np.random.default_rng(11)

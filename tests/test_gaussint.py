@@ -112,6 +112,55 @@ def test_two_square_decomp_canonical():
                 two_square_decomp(n)
 
 
+def largest_a_brute(n):
+    """a >= b >= 0 with a^2 + b^2 = n and the largest a, or None, by a scan
+    over b upward (the smallest b has the largest a), independent of gaussint."""
+    b = np.arange(math.isqrt(n // 2) + 1, dtype=np.int64)
+    rest = n - b * b
+    a = np.round(np.sqrt(rest)).astype(np.int64)
+    hit = np.flatnonzero((a * a == rest) & (a >= b))
+    return (int(a[hit[0]]), int(b[hit[0]])) if hit.size else None
+
+
+def test_two_square_decomp_takes_the_largest_a_to_1e5():
+    """The pair with the largest a fixes A = [[1, 0], [a21, 1]] in the two-user
+    table: checked against every representation a >= b >= 0 up to 10^5."""
+    limit = 10**5
+    best = np.full(limit + 1, -1)
+    a, b = np.meshgrid(np.arange(math.isqrt(limit) + 1), np.arange(math.isqrt(limit) + 1), indexing="ij")
+    keep = (a >= b) & (a * a + b * b <= limit)
+    np.maximum.at(best, (a * a + b * b)[keep], a[keep])
+    for n in range(limit + 1):
+        if best[n] < 0:
+            assert not in_norm_set(n), n
+            with pytest.raises(ValueError):
+                two_square_decomp(n)
+        else:
+            assert in_norm_set(n), n
+            assert two_square_decomp(n) == GaussInt(int(best[n]), math.isqrt(n - int(best[n]) ** 2)), n
+
+
+def test_two_square_decomp_takes_the_largest_a_to_the_correlation_clamp():
+    """Up to the 5e8 the designer's correlation clamp produces, and on n with
+    several representations, the canonical pair is the largest-a one."""
+    several = [25, 65, 325, 1105, 5525, 32045, 1185665, 48612265, 5**2 * 13**2 * 17 * 29 * 37, 5 * 13 * 17 * 29 * 37 * 41 * 2]
+    assert all(n <= 5 * 10**8 for n in several)
+    rng = np.random.default_rng(26)
+    squares = rng.integers(0, 15811, (100, 2))  # a^2 + b^2 <= 5e8
+    sampled = [int(x) for x in rng.integers(10**5, 5 * 10**8, 100)] + [5 * 10**8, 5 * 10**8 - 1]
+    for n in several + [int(a * a + b * b) for a, b in squares] + sampled:
+        want = largest_a_brute(n)
+        assert in_norm_set(n) == (want is not None), n
+        if want is None:
+            with pytest.raises(ValueError):
+                two_square_decomp(n)
+        else:
+            assert two_square_decomp(n) == GaussInt(*want), n
+    for n in several:  # each has more than one representation a >= b >= 0
+        reps = [a for a in range(math.isqrt(n // 2), math.isqrt(n) + 1) if math.isqrt(n - a * a) ** 2 == n - a * a]
+        assert len(reps) >= 2, n
+
+
 def test_coeff_matrix_exact_det():
     eye = IntegerCoeffMatrix.identity(3)
     assert eye.det_exact() == GaussInt(1, 0)

@@ -520,6 +520,36 @@ def test_cli_gap_curve_and_errors(tmp_path, monkeypatch, capsys):
     ExperimentConfig(trials=harness.MAX_POINTS, restarts=harness.MAX_RESTARTS)  # the bounds are inclusive
 
 
+def test_cli_refuses_runs_too_large_to_finish(tmp_path, monkeypatch, capsys):
+    """K, M and trials x SNR points past their bounds exit 2 before --out is
+    made; should the check not fire, no run starts.  M = 10^12 made numpy
+    refuse a 2 x 10^12 channel (a traceback, exit 1, --out left behind), and a
+    large K never finished, det_exact visiting all 2^K column sets."""
+
+    def refuse(cfg, jobs):
+        raise AssertionError("an oversized run started")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    per_trial = harness.MAX_RECORDS // 101 + 1  # one trial too many at 101 SNRs
+    oversized = {
+        f"m <= {harness.MAX_ANTENNAS}": ["--k", "2", "--m", "1000000000000", "--trials", "1", "--snr-db", "10"],
+        f"k <= {harness.MAX_USERS}": ["--k", str(harness.MAX_USERS + 1), "--m", str(harness.MAX_ANTENNAS), "--snr-db", "10"],
+        "trials x SNR points": ["--k", "2", "--trials", str(per_trial), "--snr-db=-10:0.5:40"],
+    }
+    for i, (bound, args) in enumerate(oversized.items()):
+        out = tmp_path / f"big{i}"
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bound in err
+        assert not out.exists()
+    # the bounds are inclusive, and hold every K and M the reference runs and the K-sweep use
+    ExperimentConfig(k=harness.MAX_USERS, m=harness.MAX_ANTENNAS)
+    ExperimentConfig(k=8, m=8, snr_db=tuple(range(10, 41, 10)), restarts=8)
+    ExperimentConfig(trials=per_trial - 1, snr_db=tuple(np.arange(-10.0, 40.25, 0.5)))
+    with pytest.raises(ValueError, match="trials x SNR points"):
+        ExperimentConfig(trials=per_trial, snr_db=tuple(np.arange(-10.0, 40.25, 0.5)))
+
+
 def test_cli_single_user(tmp_path, capsys):
     """K = 1 with the default schemes is a configuration error (exit 2, no
     traceback); without the search-based schemes it runs, and its capacity

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from difprec import reduction
-from difprec.reduction import LLL_DELTA, _lll, rank_deficient, sorted_reduction
+from difprec.reduction import LLL_DELTA, _reduce, rank_deficient, sorted_reduction
 
 
 def col_norm_sq(col):
@@ -132,7 +132,7 @@ def reduced_generators(k, m, n, key):
     """g U with U the LLL transform of each g of a column-scaled stack: bases
     that are LLL-reduced already."""
     gens = column_scaled_generators(k, m, n, key)
-    return gens @ _lll(gens)
+    return gens @ _reduce(gens)[2]
 
 
 def is_identity(u):
@@ -197,7 +197,7 @@ def test_rank_deficient_member_raises():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_lll_matches_index_loop_on_every_member(k):
-    """_lll, which runs the index loop only on members that are not reduced
+    """_reduce, which runs the index loop only on members that are not reduced
     already, gives the U of the loop run on every member, and sorted_reduction
     the sorted U of the reference: on random stacks, on stacks of reduced
     bases and on the two shuffled together."""
@@ -205,12 +205,12 @@ def test_lll_matches_index_loop_on_every_member(k):
     reduced = reduced_generators(k, k + 1, 150, key=32)
     mixed = np.concatenate([rand[:75], reduced[:75]])[np.random.default_rng(k).permutation(150)]
     for gens in (rand, reduced, mixed):
-        u = _lll(gens)
+        u = _reduce(gens)[2]
         for n, g in enumerate(gens):
             ref_re, ref_im = lll_reference(g)
             assert np.array_equal(u[n].real, ref_re) and np.array_equal(u[n].imag, ref_im)
         assert reference_mismatches(gens)[0] == []
-    assert is_identity(_lll(reduced)).all() and not is_identity(_lll(rand)).all()
+    assert is_identity(_reduce(reduced)[2]).all() and not is_identity(_reduce(rand)[2]).all()
 
 
 def test_reduced_members_skip_the_index_loop(monkeypatch):
@@ -220,8 +220,8 @@ def test_reduced_members_skip_the_index_loop(monkeypatch):
     calls = []
     loop = reduction._lll_one
     monkeypatch.setattr(reduction, "_lll_one", lambda mu, q, k, kk: calls.append(len(mu)) or loop(mu, q, k, kk))
-    assert is_identity(_lll(reduced)).all() and calls == []
-    u = _lll(np.concatenate([reduced, column_scaled_generators(4, 4, 1, key=34)]))
+    assert is_identity(_reduce(reduced)[2]).all() and calls == []
+    u = _reduce(np.concatenate([reduced, column_scaled_generators(4, 4, 1, key=34)]))[2]
     assert calls == [4] and is_identity(u).tolist() == [True] * 100 + [False]
 
 
@@ -230,7 +230,7 @@ def partly_reduced_generators(k, m, n, key):
     replaced by a random one: rows 1 .. K-2 pass the loop's tests, so a member
     that fails them fails first at row K-1."""
     reduced = reduced_generators(k, m, n, key)
-    assert is_identity(_lll(reduced)).all()
+    assert is_identity(_reduce(reduced)[2]).all()
     rng = np.random.default_rng([key, k])
     reduced[:, :, -1] = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * 3.0
     return reduced
@@ -238,7 +238,7 @@ def partly_reduced_generators(k, m, n, key):
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_index_loop_starts_at_the_first_failing_row(k, monkeypatch):
-    """Partly reduced bases shuffled with random ones: _lll equals the loop run
+    """Partly reduced bases shuffled with random ones: _reduce equals the loop run
     from row 1 on every member, and each partly reduced member that enters
     the loop starts it at row K-1."""
     partly = partly_reduced_generators(k, k + 1, 60, key=35)
@@ -253,7 +253,7 @@ def test_index_loop_starts_at_the_first_failing_row(k, monkeypatch):
         return loop(mu, q, k, kk)
 
     monkeypatch.setattr(reduction, "_lll_one", recording_loop)
-    u = _lll(gens)
+    u = _reduce(gens)[2]
     for n, g in enumerate(gens):
         ref_re, ref_im = lll_reference(g)
         assert np.array_equal(u[n].real, ref_re) and np.array_equal(u[n].imag, ref_im)
@@ -273,7 +273,7 @@ def test_mixed_stack_matches_reference_and_each_member_alone():
     gens = np.concatenate([reduced_generators(3, 3, 20, key=37), draw[fallback], draw[:20]])
     gens = gens[np.random.default_rng(37).permutation(len(gens))]
     bad, fallbacks = reference_mismatches(gens)
-    certified = is_identity(_lll(gens))  # a fallback member's LLL U is not I
+    certified = is_identity(_reduce(gens)[2])  # a fallback member's LLL U is not I
     assert bad == [] and fallbacks >= 1 and certified.sum() >= 1 and (~certified).sum() - fallbacks >= 1
     a, norms = sorted_reduction(gens)
     for n in range(len(gens)):
